@@ -80,9 +80,9 @@ def _padded_cell(params, seed):
     while each cell holds its worker long enough that the measurement
     is dispatch concurrency, not the ~2ms simulation.
     """
-    payload = consensus_sweep_cell(params, seed)
+    output = consensus_sweep_cell(params, seed)
     time.sleep(float(params.get("pad_seconds", 0.0)))
-    return payload
+    return output
 
 
 def compare_timeout_paths(
@@ -111,8 +111,7 @@ def compare_timeout_paths(
                 base_seed=base_seed,
                 processes=procs,
                 cell_timeout=cell_timeout,
-                extra_params={"sqlite_db": db,
-                              "pad_seconds": PAD_SECONDS},
+                extra_params={"pad_seconds": PAD_SECONDS},
             ) as runner:
                 start = time.perf_counter()
                 outcomes = runner.resume(**axes)
@@ -284,7 +283,6 @@ def main() -> int:
         base_seed=args.base_seed,
         processes=args.processes,
         cell_timeout=args.timeout_per_cell,
-        extra_params={"sqlite_db": args.db},
         in_process=args.in_process,
     )
     total = len(runner.cells(**axes))

@@ -113,7 +113,6 @@ def main() -> int:
         base_seed=args.base_seed,
         processes=args.processes,
         cell_timeout=args.timeout_per_cell,
-        extra_params={"sqlite_db": args.db},
         in_process=args.in_process,
     )
     total = len(runner.cells(**axes))

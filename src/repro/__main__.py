@@ -346,7 +346,7 @@ def _campaign_main(argv: list) -> int:
             db_path=args.db,
             base_seed=args.base_seed, processes=args.processes,
             cell_timeout=args.cell_timeout, max_retries=args.max_retries,
-            extra_params={"sqlite_db": args.db}, in_process=True,
+            in_process=True,
             shard_index=shard_index, shard_count=shard_count,
         )
         axes = dict(

@@ -160,18 +160,60 @@ CREATE TABLE IF NOT EXISTS cells (
     attempts   INTEGER NOT NULL DEFAULT 1
 );
 CREATE TABLE IF NOT EXISTS round_summaries (
-    cell_seed       INTEGER NOT NULL,
+    cell_tag        TEXT NOT NULL,
     round           INTEGER NOT NULL,
     broadcast_count INTEGER NOT NULL,
     crashed_during  TEXT NOT NULL,
     decided_during  TEXT NOT NULL,
-    PRIMARY KEY (cell_seed, round)
+    PRIMARY KEY (cell_tag, round)
 );
 CREATE TABLE IF NOT EXISTS campaign_meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
 """
+
+
+#: Re-keys a pre-``cell_tag`` store's ``round_summaries`` in one
+#: transaction.  Rows under a seed that exactly one checkpointed cell
+#: carries, and that cell ``done``, move to its tag; every other row —
+#: orphans, and seeds two cells wrote under — is dropped.
+_ROUND_KEY_MIGRATION = (
+    "BEGIN;"
+    "ALTER TABLE round_summaries RENAME TO legacy_round_summaries;"
+    + _CAMPAIGN_SCHEMA
+    + "INSERT INTO round_summaries (cell_tag, round, broadcast_count, "
+    "crashed_during, decided_during) "
+    "SELECT c.cell_tag, r.round, r.broadcast_count, r.crashed_during, "
+    "r.decided_during FROM legacy_round_summaries r "
+    "JOIN cells c ON c.cell_seed = r.cell_seed AND c.status = 'done' "
+    "WHERE (SELECT COUNT(*) FROM cells o "
+    "WHERE o.cell_seed = r.cell_seed) = 1;"
+    "DROP TABLE legacy_round_summaries;"
+    "COMMIT;"
+)
+
+#: One ``round_summaries`` row without its cell tag: ``(round,
+#: broadcast_count, crashed_during JSON, decided_during JSON)``.
+RoundRow = Tuple[int, int, str, str]
+
+
+def round_row(artifact: Union["RoundRecord", "RoundSummary"]) -> RoundRow:
+    """Encode one round's artifact as a ``round_summaries`` row.
+
+    Cells collect these in memory and hand them to the campaign runner
+    with their result; :meth:`SqliteSink.read_summaries` decodes them.
+    """
+    return (
+        artifact.round,
+        artifact.broadcast_count,
+        json.dumps(sorted(artifact.crashed_during, key=repr), default=str),
+        json.dumps(
+            {str(p): value for p, value in artifact.decided_during.items()},
+            sort_keys=True,
+            default=str,
+        ),
+    )
 
 
 def _pid_from_key(key: str) -> Any:
@@ -194,26 +236,24 @@ def _is_transient_sqlite(exc: sqlite3.OperationalError) -> bool:
 
 
 class SqliteSink:
-    """A round observer backed by one sqlite ``campaign.db``.
+    """The sqlite ``campaign.db`` a :class:`~repro.experiments.campaign.
+    CampaignRunner` checkpoints into and resumes from.
 
-    The same observer protocol as :class:`JsonlSink` — pass an instance
-    as the ``observer`` of an engine run and each round's artifact
-    becomes one row of the ``round_summaries`` table, keyed on
-    ``(cell_seed, round)`` — plus the campaign checkpoint layer the
-    :class:`~repro.experiments.campaign.CampaignRunner` resumes from:
-    a ``cells`` table with one row per finished sweep cell (its canonical
-    coordinate tag, derived seed, grid index, status, and
-    canonically-serialised payload), and a ``campaign_meta`` key/value
-    table holding store-level identity (``base_seed``, the shard spec)
-    that the campaign layer validates before mixing data from two runs.
+    Three tables: ``cells``, one row per finished sweep cell (its
+    canonical coordinate tag, derived seed, grid index, status, and
+    canonically-serialised payload); ``round_summaries``, the per-round
+    rows a ``done`` cell handed back with its result, keyed on
+    ``(cell_tag, round)``; and ``campaign_meta``, a key/value table
+    holding store-level identity (``base_seed``, the shard spec) that
+    the campaign layer validates before mixing data from two runs.
 
-    Concurrency: the database is opened in WAL journal mode with a busy
-    timeout (both the connect-time handler and an explicit
-    ``PRAGMA busy_timeout``), so parallel campaign workers (each holding
-    its *own* sink — sqlite connections must never cross process
-    boundaries) can append round summaries to one shared ``campaign.db``
-    while the parent checkpoints cell rows.  Each write commits
-    immediately: a killed campaign loses at most the in-flight row.
+    One writer: the campaign runner's parent process writes a cell row
+    and that cell's rounds in one transaction (:meth:`record_cell`), so
+    rounds exist only for cells checkpointed ``done``.  The database is
+    opened in WAL journal mode with a busy timeout (both the
+    connect-time handler and an explicit ``PRAGMA busy_timeout``), so
+    readers never block that writer.  Each write commits immediately:
+    a killed campaign loses at most the cells still in flight.
 
     Resilience: every store write runs inside a guarded retry loop —
     a *transient* ``OperationalError`` (``database is locked``/``busy``,
@@ -229,10 +269,8 @@ class SqliteSink:
     ``sqlite`` site fires inside the retried closure, so injected
     transient errors exercise exactly the production retry machinery.
 
-    Like :class:`JsonlSink`, the connection opens lazily on first use,
-    and the sink is a context manager.  Writing rounds requires a
-    ``cell_seed`` (the key rounds are filed under); store-only callers
-    (the campaign runner, report generators) may omit it.
+    The connection opens lazily on first use, and the sink is a
+    context manager.
     """
 
     #: Attempts per guarded store write, first try included.
@@ -244,16 +282,13 @@ class SqliteSink:
     def __init__(
         self,
         path: str,
-        cell_seed: Optional[int] = None,
         busy_timeout: float = 30.0,
         fault_plan: Optional[Any] = None,
     ) -> None:
         self.path = path
-        self.cell_seed = None if cell_seed is None else int(cell_seed)
         self.busy_timeout = busy_timeout
         self._conn: Optional[sqlite3.Connection] = None
         self._closed = False
-        self.rounds_written = 0
         self._fault_plan = fault_plan
         self._plan_cache: Optional[Any] = None
         self._plan_resolved = False
@@ -349,6 +384,14 @@ class SqliteSink:
                     "INTEGER NOT NULL DEFAULT 1"
                 )
             conn.commit()
+            # Migrate pre-``cell_tag`` stores, whose rounds were filed
+            # under the seed a cell ran with (see _ROUND_KEY_MIGRATION).
+            round_cols = {
+                row[1] for row in
+                conn.execute("PRAGMA table_info(round_summaries)")
+            }
+            if "cell_tag" not in round_cols:
+                conn.executescript(_ROUND_KEY_MIGRATION)
             self._conn = conn
         return self._conn
 
@@ -374,78 +417,18 @@ class SqliteSink:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- the observer protocol -----------------------------------------
-    def __call__(self, artifact: Union["RoundRecord", "RoundSummary"]) -> None:
-        if self.cell_seed is None:
-            raise ConfigurationError(
-                "SqliteSink needs a cell_seed to file round summaries "
-                "under; construct it as SqliteSink(path, cell_seed=...)"
-            )
-        row = (
-            self.cell_seed,
-            artifact.round,
-            artifact.broadcast_count,
-            json.dumps(
-                sorted(artifact.crashed_during, key=repr), default=str
-            ),
-            json.dumps(
-                {
-                    str(pid): value
-                    for pid, value in artifact.decided_during.items()
-                },
-                sort_keys=True,
-                default=str,
-            ),
-        )
-
-        def write() -> None:
-            conn = self._connect()
-            conn.execute(
-                "INSERT OR REPLACE INTO round_summaries "
-                "(cell_seed, round, broadcast_count, crashed_during, "
-                "decided_during) VALUES (?, ?, ?, ?, ?)",
-                row,
-            )
-            conn.commit()
-
-        self._guarded("write-round", write)
-        self.rounds_written += 1
-
-    def clear_rounds(self, cell_seed: int) -> None:
-        """Drop every round summary filed under ``cell_seed``.
-
-        The campaign runner calls this before (re-)running a cell, so
-        rounds streamed by a killed or failed earlier attempt can never
-        linger past the new attempt's final round.
-        """
-        def write() -> None:
-            conn = self._connect()
-            conn.execute(
-                "DELETE FROM round_summaries WHERE cell_seed = ?",
-                (int(cell_seed),),
-            )
-            conn.commit()
-
-        self._guarded("clear-rounds", write)
-
-    def read_summaries(
-        self, cell_seed: Optional[int] = None
-    ) -> List[RoundSummary]:
+    # -- per-round data ------------------------------------------------
+    def read_summaries(self, cell_tag: str) -> List[RoundSummary]:
         """Round summaries for one cell, ordered by round.
 
         Values round-trip through JSON, so non-JSON message/value
         payloads come back as their ``str`` forms (the same reduction
         :class:`JsonlSink` applies on the way out).
         """
-        key = self.cell_seed if cell_seed is None else int(cell_seed)
-        if key is None:
-            raise ConfigurationError(
-                "read_summaries needs a cell_seed (none bound to this sink)"
-            )
         rows = self._connect().execute(
             "SELECT round, broadcast_count, crashed_during, decided_during "
-            "FROM round_summaries WHERE cell_seed = ? ORDER BY round",
-            (key,),
+            "FROM round_summaries WHERE cell_tag = ? ORDER BY round",
+            (cell_tag,),
         ).fetchall()
         return [
             RoundSummary(
@@ -462,19 +445,19 @@ class SqliteSink:
             for r, bc, crashed, decided in rows
         ]
 
-    def round_aggregates(self) -> Dict[int, Tuple[int, float]]:
+    def round_aggregates(self) -> Dict[str, Tuple[int, float]]:
         """Per-cell aggregates over ``round_summaries`` in one query.
 
-        Returns ``cell_seed -> (rounds, mean broadcast count)`` for every
-        cell that streamed at least one round into the store — the
-        backbone of the campaign's table report, computed inside sqlite
-        so a million-round store never materialises its rows in Python.
+        Returns ``cell_tag -> (rounds, mean broadcast count)`` for every
+        cell with at least one stored round — the backbone of the
+        campaign's table report, computed inside sqlite so a
+        million-round store never materialises its rows in Python.
         """
         rows = self._connect().execute(
-            "SELECT cell_seed, COUNT(*), AVG(broadcast_count) "
-            "FROM round_summaries GROUP BY cell_seed"
+            "SELECT cell_tag, COUNT(*), AVG(broadcast_count) "
+            "FROM round_summaries GROUP BY cell_tag"
         ).fetchall()
-        return {seed: (count, mean) for seed, count, mean in rows}
+        return {tag: (count, mean) for tag, count, mean in rows}
 
     # -- campaign cell checkpoints -------------------------------------
     def record_cell(
@@ -488,12 +471,19 @@ class SqliteSink:
         error: Optional[str] = None,
         elapsed: Optional[float] = None,
         attempts: int = 1,
+        rounds: Sequence[RoundRow] = (),
     ) -> None:
-        """Checkpoint one finished cell (idempotent upsert, keyed on tag).
+        """Checkpoint one finished cell with its rounds (keyed on tag).
 
-        ``attempts`` counts how many times the cell has run in total
-        (first run included); the campaign's retry budget reads it back
-        to decide whether a ``failed`` cell gets another pass.
+        The cell upsert, the deletion of every round row filed under
+        ``tag`` and the insertion of ``rounds`` (rows built by
+        :func:`round_row`) commit as one transaction, and a retried
+        write repeats all three — so the stored rounds are always
+        exactly those of the cell's latest checkpoint, and a cell
+        checkpointed with no rounds (every non-``done`` status) has
+        none.  ``attempts`` counts how many times the cell has run in
+        total (first run included); the campaign's retry budget reads it
+        back to decide whether a ``failed`` cell gets another pass.
         """
         def write() -> None:
             conn = self._connect()
@@ -503,6 +493,15 @@ class SqliteSink:
                 "error, elapsed, attempts) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (tag, int(seed), int(index), params_text, status,
                  payload_text, error, elapsed, int(attempts)),
+            )
+            conn.execute(
+                "DELETE FROM round_summaries WHERE cell_tag = ?", (tag,)
+            )
+            conn.executemany(
+                "INSERT INTO round_summaries (cell_tag, round, "
+                "broadcast_count, crashed_during, decided_during) "
+                "VALUES (?, ?, ?, ?, ?)",
+                [(tag, *row) for row in rounds],
             )
             conn.commit()
 
@@ -582,7 +581,7 @@ class SqliteSink:
 
         Uses sqlite ``ATTACH`` so the copy happens entirely inside the
         database engine, and plain ``INSERT`` (never ``OR REPLACE``) so
-        a cell tag or ``(cell_seed, round)`` key present in both stores
+        a cell tag or ``(cell_tag, round)`` key present in both stores
         aborts loudly with :class:`~repro.core.errors.ConfigurationError`
         instead of silently clobbering a row — overlapping shards are a
         configuration error, not a tiebreak.  Returns the number of
@@ -605,9 +604,9 @@ class SqliteSink:
                 )
                 copied = cur.rowcount
                 conn.execute(
-                    "INSERT INTO round_summaries (cell_seed, round, "
+                    "INSERT INTO round_summaries (cell_tag, round, "
                     "broadcast_count, crashed_during, decided_during) "
-                    "SELECT cell_seed, round, broadcast_count, "
+                    "SELECT cell_tag, round, broadcast_count, "
                     "crashed_during, decided_during "
                     "FROM shard_src.round_summaries"
                 )

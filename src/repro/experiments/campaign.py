@@ -9,12 +9,14 @@ durable, cell-granular checkpoints in a single ``campaign.db``
 
 * **Checkpointing** — every finished cell is committed to the ``cells``
   table the moment it completes (in completion order, not submission
-  order, under the pooled paths), keyed on its canonical coordinate tag.
-  Killing the campaign at any point loses at most the cells still
-  in flight on the workers.  Checkpointing a non-``done`` status also
-  clears the cell's ``round_summaries`` rows, so a killed or failed
-  attempt can never leave stale per-round data behind — even for
-  ``timed_out`` cells that will never re-run.
+  order, under the pooled paths), keyed on its canonical coordinate tag,
+  together with the per-round rows it returned (a
+  :class:`~repro.experiments.dispatch.CellOutput`) in one transaction.
+  This runner is the store's only writer: a cell never touches the
+  store itself, so a timed-out, failed or killed attempt delivers no
+  rounds, and ``round_summaries`` holds rows only for ``done`` cells.
+  Killing the campaign at any point loses at most the cells still in
+  flight on the workers.
 * **Resume** — :meth:`CampaignRunner.resume` queries the store first and
   only runs cells that are not already checkpointed (``failed`` cells
   are retried while their attempt count is within the ``max_retries``
@@ -65,16 +67,15 @@ durable, cell-granular checkpoints in a single ``campaign.db``
 
 Seeds come from :func:`~repro.experiments.harness.cell_seed` over the
 grid coordinates only.  Infrastructure parameters that must not perturb
-seeding or cell identity (a database path, a sink directory) go in
+seeding or cell identity (a sink directory) go in
 ``extra_params``: they are merged into the cell function's ``params`` at
 execution time but excluded from the tag, the seed, and the report's
 ``params``, so two campaigns over the same grid agree cell-for-cell
-even when their databases live in different directories.  Byte-stable
-reports additionally need the *payload* to be a deterministic function
-of ``(grid params, seed)`` — ``consensus_sweep_cell`` satisfies this
-for both ``sqlite_db`` and ``sink_dir`` (the payload records only the
-sink file's basename, never the absolute path, so reports agree across
-machines).
+even when their sink directories differ.  Byte-stable reports
+additionally need the *payload* to be a deterministic function of
+``(grid params, seed)`` — ``consensus_sweep_cell`` satisfies this under
+``sink_dir`` (the payload records only the sink file's basename, never
+the absolute path, so reports agree across machines).
 
 Example::
 
@@ -90,12 +91,6 @@ Example::
         n=[4, 16], detector=["0-OAC", "maj-OAC"], loss_rate=[0.1, 0.3],
         trial=range(5),
     )                       # second call: all cells checkpointed, no work
-
-(Replicates sweep as a ``trial`` axis, which folds into each cell's
-*derived* seed; a literal ``seed`` axis would override the derived seed
-inside ``consensus_sweep_cell`` and make cells sharing a seed value
-clobber each other's ``(cell_seed, round)`` rows in the shared
-``round_summaries`` table.)
     print(runner.report(n=[4, 16], ...))   # canonical JSON, byte-stable
 """
 
@@ -488,35 +483,6 @@ class CampaignRunner:
             store.set_meta("shard", mine)
 
     # ------------------------------------------------------------------
-    def _checkpoint(
-        self,
-        store: SqliteSink,
-        cell: SweepCell,
-        status: str,
-        payload: Any = None,
-        error: Optional[str] = None,
-        elapsed: Optional[float] = None,
-        attempts: int = 1,
-    ) -> None:
-        if status != "done":
-            # The dead attempt may have streamed partial rounds into the
-            # store before it was killed (timeout) or raised (failure);
-            # clear them *now* — a timed_out cell is never re-run, so
-            # the pre-run sweep in _run_pending would never reach it and
-            # the stale rows would otherwise live forever.
-            store.clear_rounds(cell.seed)
-        store.record_cell(
-            tag=cell_tag(cell),
-            seed=cell.seed,
-            index=cell.index,
-            params_text=_params_text(cell),
-            status=status,
-            payload_text=_payload_text(payload) if status == "done" else None,
-            error=error,
-            elapsed=elapsed,
-            attempts=attempts,
-        )
-
     def _run_pending(
         self,
         store: SqliteSink,
@@ -540,28 +506,23 @@ class CampaignRunner:
         pids = set()
 
         def checkpoint(cell: SweepCell, result: CellResult) -> None:
-            self._checkpoint(store, cell, result.status,
-                             payload=result.payload, error=result.error,
-                             elapsed=result.elapsed,
-                             attempts=attempts[cell.index])
+            done = result.status == "done"
+            store.record_cell(
+                tag=cell_tag(cell),
+                seed=cell.seed,
+                index=cell.index,
+                params_text=_params_text(cell),
+                status=result.status,
+                payload_text=_payload_text(result.payload) if done else None,
+                error=result.error,
+                elapsed=result.elapsed,
+                attempts=attempts[cell.index],
+                rounds=result.rounds,
+            )
             if result.worker_pid is not None:
                 pids.add(result.worker_pid)
 
-        def feed() -> Iterator[SweepCell]:
-            # The dispatcher pulls this generator lazily, one cell per
-            # freed worker slot (the same seam the shard filter rides).
-            # A pending cell may have streamed rounds in a killed or
-            # failed earlier attempt; clear them immediately before the
-            # cell is handed out — before any worker can stream the new
-            # attempt — so stale rows never linger past its final round.
-            # (The dispatcher disconnects the store via pre_fork before
-            # every spawn, after this pull, so the lazily reopened
-            # connection never crosses a fork.)
-            for cell in pending:
-                store.clear_rounds(cell.seed)
-                yield cell
-
-        self._dispatcher.run(feed(), checkpoint,
+        self._dispatcher.run(pending, checkpoint,
                              pre_fork=store.disconnect)
         self.last_dispatch_stats = {
             "cells": len(pending),
@@ -700,17 +661,20 @@ class CampaignRunner:
         """An aligned-column table over the store's ``round_summaries``.
 
         One row per checkpointed cell, in grid order: the cell's
-        canonical tag, status, attempt count, how many rounds it
-        streamed into the store, and the mean per-round broadcast count
-        — the campaign-analytics view in its minimal useful form.  The
+        canonical tag, status, attempt count, how many rounds the store
+        holds for it, and the mean per-round broadcast count — the
+        campaign-analytics view in its minimal useful form.  The
         per-cell aggregation happens inside sqlite
         (:meth:`~repro.core.records.SqliteSink.round_aggregates`), so
         the table costs one query however many rounds the store holds.
-        Cells that streamed nothing (``NONE``-policy cells, failures
-        before round 1, cleared dead attempts) show ``-`` in both round
-        columns.  A footer below a closing rule totals the cell counts
-        per status and the attempts spent, so a glance at the last line
-        answers "how did the campaign go" without scanning the rows.
+        Cells with no stored rounds — every non-``done`` cell, and
+        ``done`` cells whose function returned no
+        :class:`~repro.experiments.dispatch.CellOutput` — show ``-`` in
+        both round columns (the engine calls observers under every
+        record policy, so ``NONE``-policy cells keep their rounds).  A
+        footer below a closing rule totals the cell counts per status
+        and the attempts spent, so a glance at the last line answers
+        "how did the campaign go" without scanning the rows.
         """
         cells = self.cells(**axes)
         with SqliteSink(self.db_path, fault_plan=self.fault_plan) as store:
@@ -720,7 +684,7 @@ class CampaignRunner:
         headers = ("cell", "status", "attempts", "rounds", "mean_bcast")
         rows = []
         for outcome in merged:
-            agg = aggregates.get(outcome.cell.seed)
+            agg = aggregates.get(cell_tag(outcome.cell))
             rows.append((
                 cell_tag(outcome.cell),
                 outcome.status,
@@ -782,7 +746,7 @@ def merge_campaign_stores(
       duplicated index is an overlapping shard, an absent one a missing
       shard, and either would make the merged report silently diverge
       from the single-host truth;
-    * row-level overlap (the same cell tag or ``(cell_seed, round)``
+    * row-level overlap (the same cell tag or ``(cell_tag, round)``
       key in two stores) aborts inside sqlite via
       :meth:`~repro.core.records.SqliteSink.merge_from`'s plain-INSERT
       discipline, as a belt-and-braces guard under the metadata checks.

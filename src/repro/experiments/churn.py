@@ -31,11 +31,13 @@ import shutil
 import tempfile
 from typing import Any, Dict, Iterable, List, Optional
 
+from ..core.records import RoundRow
 from .campaign import CampaignRunner
+from .dispatch import CellOutput
 from .harness import Table
 
 
-def churn_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+def churn_sweep_cell(params: Dict[str, Any], seed: int) -> CellOutput:
     """One E19 cell: Algorithm 2 to decision under membership churn.
 
     Recognised ``params`` (all optional): ``n`` (default 4), ``values``
@@ -46,11 +48,12 @@ def churn_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     membership, default 0.2), ``churn_deadline`` (last churn-active
     round, default ``cst + 6``), ``topology`` (``"clique"`` or
     ``"ring"``, default clique), ``successors`` (ring successor-list
-    width, default 1), ``record_policy``, ``seed`` (overrides the
-    derived per-cell seed), and ``sqlite_db`` (stream per-round
-    summaries into the campaign store, exactly like
-    :func:`~repro.experiments.harness.consensus_sweep_cell`).
+    width, default 1), ``record_policy``, and ``seed`` (overrides the
+    derived per-cell seed).
 
+    Returns a :class:`~repro.experiments.dispatch.CellOutput` whose
+    rounds are every round's :func:`~repro.core.records.round_row`,
+    exactly like :func:`~repro.experiments.harness.consensus_sweep_cell`.
     The payload reports agreement quality over the *final* membership:
     ``decision_rate`` counts decided processes among
     :meth:`~repro.core.records.ExecutionResult.present_indices` (never
@@ -67,7 +70,7 @@ def churn_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     from ..core.environment import Environment
     from ..core.errors import ConfigurationError
     from ..core.execution import run_consensus
-    from ..core.records import RecordPolicy, SqliteSink
+    from ..core.records import RecordPolicy, round_row
     from ..detectors.classes import get_class
     from ..detectors.policy import SpuriousUntilPolicy
     from ..detectors.properties import AccuracyMode
@@ -85,7 +88,6 @@ def churn_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     detector_class = get_class(str(params.get("detector", "0-OAC")))
     policy = RecordPolicy(str(params.get("record_policy", "summary")))
     seed = int(params.get("seed", seed))
-    sqlite_db = params.get("sqlite_db")
 
     if topology not in ("clique", "ring"):
         raise ConfigurationError(
@@ -135,16 +137,12 @@ def churn_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     # Churn erases progress until its deadline; the effective
     # stabilization point is whichever comes later.
     bound = termination_bound(max(cst, deadline), vc)
-    sink = SqliteSink(str(sqlite_db), cell_seed=seed) if sqlite_db else None
-    try:
-        result = run_consensus(
-            env, algorithm_2(values), assignment,
-            max_rounds=bound + 20, record_policy=policy,
-            observer=sink,
-        )
-    finally:
-        if sink is not None:
-            sink.close()
+    rounds: List[RoundRow] = []
+    result = run_consensus(
+        env, algorithm_2(values), assignment,
+        max_rounds=bound + 20, record_policy=policy,
+        observer=lambda artifact: rounds.append(round_row(artifact)),
+    )
 
     present = result.present_indices()
     # ``decisions`` maps *every* pid (None while undecided), so test the
@@ -153,7 +151,7 @@ def churn_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         p for p in present if result.decisions.get(p) is not None
     ]
     distinct = len(set(result.all_decided_values()))
-    return {
+    return CellOutput({
         "present": len(present),
         "decided": len(decided_present),
         "decision_rate": (
@@ -166,7 +164,7 @@ def churn_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         "churned": result.churned,
         "rejoins": sum(result.rejoin_counts.values()),
         "ghost_decisions": len(result.departed_decisions),
-    }
+    }, rounds)
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +264,6 @@ def _churn_campaign_tables(
         processes=processes,
         cell_timeout=cell_timeout,
         max_retries=max_retries,
-        extra_params={"sqlite_db": db_path},
         in_process=in_process,
         shard_index=shard_index,
         shard_count=shard_count,

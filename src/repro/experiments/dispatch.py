@@ -38,7 +38,9 @@ Contract highlights:
 * **One execution contract** — :func:`execute_cell_job` is the only
   place a cell function is invoked, whether in-process or on a worker,
   so a cell behaves identically everywhere (exceptions become ``failed``
-  results carrying the exception object when it can cross the pipe).
+  results carrying the exception object when it can cross the pipe, and
+  a :class:`CellOutput` return splits into the payload and the rounds
+  the campaign runner stores).
 * **Cell sources are iterators** — :meth:`CampaignDispatcher.run`
   accepts any iterable of cells and pulls from it *lazily*: a new cell
   is materialised only when a worker slot frees up (never more than
@@ -96,10 +98,12 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
 from ..core.errors import ConfigurationError
+from ..core.records import RoundRow
 from ..testing import faultline
 
 #: Grace period before a terminate escalates to kill.
@@ -112,8 +116,7 @@ MAX_SPAWN_DEATHS: int = 5
 RESPAWN_BACKOFF: float = 0.05
 
 #: The heartbeat message busy workers send when the stall watchdog is
-#: armed.  A 1-tuple, so it can never be confused with the 6-tuple
-#: result protocol.
+#: armed — anything but a :class:`CellResult`.
 _HEARTBEAT: Tuple[str] = ("__heartbeat__",)
 
 
@@ -132,16 +135,33 @@ class WorkerPoolError(RuntimeError):
 # The cell-execution contract
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
+class CellOutput:
+    """A cell function's return value when it also has rounds to store.
+
+    ``payload`` is what callers of the cell see as its result;
+    ``rounds`` are its per-round ``round_summaries`` rows (built by
+    :func:`~repro.core.records.round_row`), which the campaign runner
+    writes in the same transaction as the cell's checkpoint.  A cell
+    function returning anything else has no rounds.
+    """
+
+    payload: Any
+    rounds: Sequence[RoundRow] = ()
+
+
+@dataclasses.dataclass(frozen=True)
 class CellResult:
     """The outcome of one dispatched cell, however it ran.
 
-    ``status`` is ``done``, ``failed``, or ``timed_out``.  ``error`` is
-    the repr of the cell's exception (or a dispatcher-level diagnosis
-    such as a worker death); ``exception`` carries the exception object
-    itself when it survived the pipe, so callers that want to re-raise
-    (the sweep harness) keep the original type.  ``worker_pid`` is the
-    pool worker that ran the cell (``None`` in-process) — the raw
-    material for worker-reuse accounting.
+    ``status`` is ``done``, ``failed``, or ``timed_out``.  ``rounds``
+    holds the rows of a ``done`` cell that returned a
+    :class:`CellOutput` (empty otherwise).  ``error`` is the repr of
+    the cell's exception (or a dispatcher-level diagnosis such as a
+    worker death); ``exception`` carries the exception object itself
+    when it survived the pipe, so callers that want to re-raise (the
+    sweep harness) keep the original type.  ``worker_pid`` is the pool
+    worker that ran the cell (``None`` in-process) — the raw material
+    for worker-reuse accounting.
     """
 
     index: int
@@ -151,27 +171,35 @@ class CellResult:
     elapsed: float = 0.0
     exception: Optional[BaseException] = None
     worker_pid: Optional[int] = None
+    rounds: Sequence[RoundRow] = ()
 
 
 def execute_cell_job(
     fn: Callable[[Dict[str, Any], int], Any],
+    index: int,
     params: Mapping[str, Any],
     seed: int,
     extra: Optional[Mapping[str, Any]] = None,
-) -> Tuple[str, Any, Optional[str], float, Optional[BaseException]]:
+) -> CellResult:
     """Run one cell function, never letting its exception escape.
 
-    Returns ``(status, payload, error, elapsed, exception)`` with status
-    ``done`` or ``failed`` — the single execution contract behind every
-    dispatch configuration, so a cell behaves identically whether it ran
-    in-process or on a pool worker.
+    Returns a ``done`` or ``failed`` :class:`CellResult` — the single
+    execution contract behind every dispatch configuration, so a cell
+    behaves identically whether it ran in-process or on a pool worker.
+    A :class:`CellOutput` return is unpacked here, so every consumer
+    sees the bare payload.
     """
     start = time.monotonic()
     try:
-        payload = fn(dict(params, **(extra or {})), seed)
+        out = fn(dict(params, **(extra or {})), seed)
     except Exception as exc:
-        return ("failed", None, repr(exc), time.monotonic() - start, exc)
-    return ("done", payload, None, time.monotonic() - start, None)
+        return CellResult(index, "failed", error=repr(exc),
+                          elapsed=time.monotonic() - start, exception=exc)
+    rounds: Sequence[RoundRow] = ()
+    if isinstance(out, CellOutput):
+        out, rounds = out.payload, out.rounds
+    return CellResult(index, "done", payload=out, rounds=rounds,
+                      elapsed=time.monotonic() - start)
 
 
 def probe_worker_processes() -> None:
@@ -199,13 +227,13 @@ def _dispatch_worker(
 
     Protocol: the parent sends ``(cell_index, params, seed)`` tuples,
     strictly one in flight per worker, and a ``None`` sentinel to shut
-    down; the worker answers each job with ``(cell_index, status,
-    payload, error, elapsed, exception)`` and never raises for a cell's
-    own exception (``BaseException`` included — a cell calling
-    ``sys.exit`` comes back ``failed`` with the same ``repr`` the
-    in-process path would record, never "worker died").  A result whose
-    payload or exception cannot be pickled degrades to a ``failed``
-    reply naming the pickling problem, so the parent always hears back.
+    down; the worker answers each job with a :class:`CellResult` and
+    never raises for a cell's own exception (``BaseException`` included
+    — a cell calling ``sys.exit`` comes back ``failed`` with the same
+    ``repr`` the in-process path would record, never "worker died").  A
+    result whose payload or exception cannot be pickled degrades to a
+    ``failed`` reply naming the pickling problem, so the parent always
+    hears back.
     An overrun worker is simply terminated by the parent — no
     cooperation required — and a fresh worker takes its place.
 
@@ -216,10 +244,9 @@ def _dispatch_worker(
     GIL-holding extension, an OOM kill all silence them — which is
     exactly the signal the parent's watchdog keys on.
 
-    ``fault_spec`` reconstructs this process's
+    ``fault_spec`` reconstructs the worker-side sites of the parent's
     :class:`~repro.testing.faultline.FaultPlan` (fresh clocks — its
-    sites are keyed per cell, not per process) and installs it as the
-    ambient plan so the cell function's own ``SqliteSink`` picks it up.
+    sites are keyed per cell, not per process).
 
     Sibling workers fork-inherit the parent's end of this worker's
     pipe, so a hard-killed parent (SIGKILL, OOM) never produces an EOF
@@ -230,7 +257,6 @@ def _dispatch_worker(
     plan = None
     if fault_spec is not None:
         plan = faultline.FaultPlan.from_spec(fault_spec)
-        faultline.install(plan)
     send_lock = threading.Lock()
     busy_flag = threading.Event()
     hb_stop = threading.Event()
@@ -266,13 +292,9 @@ def _dispatch_worker(
             exit_after = False
             busy_flag.set()
             try:
-                status, payload, error, elapsed, exc = execute_cell_job(
-                    fn, params, seed, extra
-                )
+                result = execute_cell_job(fn, index, params, seed, extra)
             except BaseException as caught:  # SystemExit/KeyboardInterrupt
-                status, payload, error, elapsed, exc = (
-                    "failed", None, repr(caught), 0.0, None
-                )
+                result = CellResult(index, "failed", error=repr(caught))
                 exit_after = isinstance(caught, KeyboardInterrupt)
             if plan is not None and plan.fire("cell-reply", fault_key):
                 # The pipe-EOF injector: die without replying, exactly
@@ -282,9 +304,7 @@ def _dispatch_worker(
             try:
                 try:
                     with send_lock:
-                        conn.send(
-                            (index, status, payload, error, elapsed, exc)
-                        )
+                        conn.send(result)
                 except (BrokenPipeError, OSError):
                     break
                 except Exception as send_exc:
@@ -292,10 +312,10 @@ def _dispatch_worker(
                     # pickling failure leaves the pipe clean for the
                     # degraded reply.
                     with send_lock:
-                        conn.send((
-                            index, "failed", None,
-                            f"cell result not picklable: {send_exc!r}",
-                            elapsed, None,
+                        conn.send(CellResult(
+                            index, "failed",
+                            error=f"cell result not picklable: {send_exc!r}",
+                            elapsed=result.elapsed,
                         ))
             except (BrokenPipeError, OSError):
                 break
@@ -606,15 +626,12 @@ class CampaignDispatcher:
                 action = plan.fire("cell", f"cell:{cell.index}")
                 if action is not None and action.get("kind") == "sleep":
                     time.sleep(float(action.get("seconds", 0.01)))
-            status, payload, error, elapsed, exc = execute_cell_job(
-                self.cell_fn, cell.as_dict(), cell.seed, self.extra_params
+            result = execute_cell_job(
+                self.cell_fn, cell.index, cell.as_dict(), cell.seed,
+                self.extra_params,
             )
             completed += 1
-            on_result(cell, CellResult(
-                index=cell.index, status=status, payload=payload,
-                error=error, elapsed=elapsed, exception=exc,
-                worker_pid=None,
-            ))
+            on_result(cell, result)
             if hook is not None:
                 hook()
         return completed
@@ -773,20 +790,15 @@ class CampaignDispatcher:
                 ))
                 note_death(worker, f"pid {pid} died mid-cell")
                 return
-            if len(msg) == 1:
-                last_seen[worker] = time.monotonic()
+            if not isinstance(msg, CellResult):
+                last_seen[worker] = time.monotonic()  # a heartbeat
                 return
             cell, started, _deadline = busy.pop(worker)
             last_seen.pop(worker, None)
             sel.unregister(worker.conn)
-            _, status, payload, error, elapsed, exc = msg
             worker.jobs_done += 1
             self._spawn_death_streak = 0
-            deliver(cell, CellResult(
-                index=cell.index, status=status, payload=payload,
-                error=error, elapsed=elapsed, exception=exc,
-                worker_pid=worker.pid,
-            ))
+            deliver(cell, dataclasses.replace(msg, worker_pid=worker.pid))
 
         def drain(worker: _Worker) -> None:
             """A message already in the pipe always beats a deadline or

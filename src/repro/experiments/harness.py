@@ -60,8 +60,9 @@ checkpoints in one sqlite ``campaign.db``
 * **Checkpoint schema** — a ``cells`` table keyed on the cell's
   canonical coordinate tag (status ``done``/``timed_out``/``failed``,
   canonical-JSON payload), plus a ``round_summaries`` table keyed on
-  ``(cell_seed, round)`` that cells stream per-round aggregates into
-  (pass ``sqlite_db`` to :func:`consensus_sweep_cell`).
+  ``(cell_tag, round)`` holding the per-round aggregates a ``done``
+  cell returned with its result (see
+  :class:`~repro.experiments.dispatch.CellOutput`).
 * **Resume semantics** — ``resume()`` queries the store and runs only
   unfinished cells (``failed`` retried up to a ``max_retries`` budget,
   ``done``/``timed_out`` skipped).  Same ``base_seed`` + same grid ⇒
@@ -98,7 +99,8 @@ from typing import (
     Tuple,
 )
 
-from .dispatch import CampaignDispatcher, CellResult
+from ..core.records import RoundRow
+from .dispatch import CampaignDispatcher, CellOutput, CellResult
 
 
 @dataclasses.dataclass
@@ -373,15 +375,7 @@ class SweepRunner:
         return self.run(self.cells(**axes))
 
 
-def _fanout_observer(observers: Sequence[Callable[[Any], None]]):
-    """Compose round observers (each artifact goes to every sink)."""
-    def observe(artifact: Any) -> None:
-        for obs in observers:
-            obs(artifact)
-    return observe
-
-
-def consensus_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+def consensus_sweep_cell(params: Dict[str, Any], seed: int) -> CellOutput:
     """Built-in sweep cell: Algorithm 2 to decision in an ECF environment.
 
     Recognised ``params`` (all optional): ``n`` (process count, default 4),
@@ -396,22 +390,23 @@ def consensus_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     memory; ``tag`` is derived from the grid coordinates — infra paths
     excluded — so cells sharing an explicit ``seed`` axis value still
     get distinct files and parallel workers never clobber each other,
-    while the name itself is machine-independent), and ``sqlite_db`` (a
-    database path: stream the same per-round summaries into the shared
-    campaign store's ``round_summaries`` table via a
-    :class:`~repro.core.records.SqliteSink` keyed on this cell's seed —
-    WAL mode makes the concurrent appends of parallel workers safe).
-    Both sinks open lazily, so a cell that raises before round 1 leaves
-    no empty file (and no spurious rows) behind.  Returns a picklable
-    dict with decisions, decision rounds, round count, and the consensus
-    report's verdicts; under ``sink_dir`` the payload records the sink
-    file's *basename* only (``sink_file``), keeping reports
-    byte-identical across machines whose sink directories differ.
+    while the name itself is machine-independent).  The sink opens
+    lazily, so a cell that raises before round 1 leaves no empty file
+    behind.
+
+    Returns a :class:`~repro.experiments.dispatch.CellOutput`: the
+    payload is a picklable dict with decisions, decision rounds, round
+    count, and the consensus report's verdicts (under ``sink_dir`` it
+    records the sink file's *basename* only, ``sink_file``, keeping
+    reports byte-identical across machines whose sink directories
+    differ); the rounds are every round's
+    :func:`~repro.core.records.round_row`, collected under every record
+    policy, for the campaign store.
     """
     from ..algorithms.alg2 import algorithm_2, termination_bound
     from ..core.consensus import evaluate
     from ..core.execution import run_consensus
-    from ..core.records import JsonlSink, RecordPolicy, SqliteSink
+    from ..core.records import JsonlSink, RecordPolicy, round_row
     from ..detectors.classes import get_class
     from .scenarios import ecf_environment
 
@@ -423,13 +418,13 @@ def consensus_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     policy = RecordPolicy(str(params.get("record_policy", "summary")))
     seed = int(params.get("seed", seed))
     sink_dir = params.get("sink_dir")
-    sqlite_db = params.get("sqlite_db")
 
     values = list(range(vc))
     env = ecf_environment(n, detector, cst=cst, loss_rate=loss_rate, seed=seed)
     assignment = {i: values[(i * 7 + seed) % vc] for i in env.indices}
     bound = termination_bound(cst, vc)
-    sinks: List[Any] = []
+    rounds: List[RoundRow] = []
+    sink = None
     sink_path = None
     if sink_dir:
         os.makedirs(str(sink_dir), exist_ok=True)
@@ -437,28 +432,26 @@ def consensus_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         # fold every *grid* coordinate into the filename tag.  Infra
         # paths are excluded so the filename — recorded in the payload —
         # is identical no matter where the sinks or store live.
-        coords = {
-            k: v for k, v in params.items()
-            if k not in ("sink_dir", "sqlite_db")
-        }
+        coords = {k: v for k, v in params.items() if k != "sink_dir"}
         tag = cell_seed(seed, **coords)
         sink_path = os.path.join(
             str(sink_dir), f"cell-{seed}-{tag:08x}.jsonl"
         )
-        sinks.append(JsonlSink(sink_path))
-    if sqlite_db:
-        sinks.append(SqliteSink(str(sqlite_db), cell_seed=seed))
-    observer = None
-    if sinks:
-        observer = sinks[0] if len(sinks) == 1 else _fanout_observer(sinks)
+        sink = JsonlSink(sink_path)
+
+    def observe(artifact: Any) -> None:
+        rounds.append(round_row(artifact))
+        if sink is not None:
+            sink(artifact)
+
     try:
         result = run_consensus(
             env, algorithm_2(values), assignment,
             max_rounds=bound + 20, record_policy=policy,
-            observer=observer,
+            observer=observe,
         )
     finally:
-        for sink in sinks:
+        if sink is not None:
             sink.close()
     report = evaluate(result, by_round=bound)
     payload = {
@@ -475,4 +468,4 @@ def consensus_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         # reports over sink_dir-streaming campaigns are byte-identical
         # across machines and directories.
         payload["sink_file"] = os.path.basename(sink_path)
-    return payload
+    return CellOutput(payload, rounds)

@@ -294,9 +294,7 @@ def _campaign_matrix_tables(
     throwaway: bool = False,
 ) -> List[Table]:
     # The seed axis is swept as ``trial``: each trial folds into the
-    # *derived* per-cell seed (via cell_seed) instead of overriding it,
-    # so every cell owns a distinct (cell_seed, round) key range in the
-    # shared round_summaries table.
+    # *derived* per-cell seed (via cell_seed) instead of overriding it.
     axes = dict(
         n=list(ns),
         detector=list(detectors),
@@ -314,7 +312,6 @@ def _campaign_matrix_tables(
         processes=processes,
         cell_timeout=cell_timeout,
         max_retries=max_retries,
-        extra_params={"sqlite_db": db_path},
         in_process=in_process,
         shard_index=shard_index,
         shard_count=shard_count,

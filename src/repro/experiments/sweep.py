@@ -57,7 +57,7 @@ def run_parallel_sweep(
             full_params = dict(p, record_policy="full")
             full_payload = consensus_sweep_cell(
                 full_params, outcome.cell.seed
-            )
+            ).payload
             equivalent = (
                 full_payload["decisions"] == payload["decisions"]
                 and full_payload["decision_rounds"]

@@ -16,9 +16,9 @@ the clean reference bytes:
   the row's coordinate tag and seed are recomputed from its stored
   params (via the same canonical encoding and SHA-256 derivation that
   created them) and must match the row exactly;
-* round hygiene — ``round_summaries`` rows filed under no known cell
-  (orphans) or under a non-``done`` cell (stale data a checkpoint
-  should have cleared).
+* round hygiene — ``round_summaries`` rows filed under a tag that is
+  not a ``done`` cell (the campaign runner writes rounds only with a
+  ``done`` checkpoint, so such rows are orphans).
 
 Quarantine actions are deliberately conservative:
 
@@ -30,7 +30,7 @@ Quarantine actions are deliberately conservative:
 * a cell whose *identity* is damaged (tag/seed/params disagree) cannot
   be trusted at all and is **deleted** outright — the next resume sees
   a gap and fills it;
-* orphaned and stale rounds are deleted.
+* orphaned rounds are deleted.
 
 The CLI face is ``python -m repro campaign verify --db PATH
 [--quarantine]`` (exit 0 when the store is clean, 1 when findings were
@@ -58,7 +58,7 @@ _REQUIRED_SCHEMA: Dict[str, tuple] = {
         "payload", "error", "elapsed", "attempts",
     ),
     "round_summaries": (
-        "cell_seed", "round", "broadcast_count", "crashed_during",
+        "cell_tag", "round", "broadcast_count", "crashed_during",
         "decided_during",
     ),
     "campaign_meta": ("key", "value"),
@@ -88,7 +88,7 @@ def verify_campaign_store(
             "cells": <row count>,
             "ok": <no findings>,
             "findings": [
-                {"kind": ..., "cell_tag"/"cell_seed": ..., "detail": ...,
+                {"kind": ..., "cell_tag": ..., "detail": ...,
                  "action": <quarantine action or "report-only">},
                 ...
             ],
@@ -189,8 +189,8 @@ def verify_campaign_store(
             "SELECT cell_tag, cell_seed, cell_index, params, status, "
             "payload, attempts FROM cells"
         ).fetchall()
-        demote: List[tuple] = []   # (tag, seed)
-        delete: List[tuple] = []   # (tag, seed)
+        demote: List[str] = []   # tags
+        delete: List[str] = []   # tags
         for tag, seed, index, params_text, status, payload, attempts \
                 in rows:
             cell_findings: List[Dict[str, Any]] = []
@@ -269,37 +269,23 @@ def verify_campaign_store(
                     action if quarantine else "report-only"
                 )
                 findings.append(finding)
-            (delete if identity_bad else demote).append((tag, seed))
+            (delete if identity_bad else demote).append(tag)
 
-        known_seeds = {row[1] for row in rows}
-        non_done_seeds = {
-            row[1] for row in rows if row[4] != "done"
-        }
-        round_seeds = {
+        orphan_tags = [
             row[0] for row in conn.execute(
-                "SELECT DISTINCT cell_seed FROM round_summaries"
+                "SELECT DISTINCT cell_tag FROM round_summaries "
+                "WHERE cell_tag NOT IN "
+                "(SELECT cell_tag FROM cells WHERE status = 'done') "
+                "ORDER BY cell_tag"
             )
-        }
-        orphan_seeds = sorted(round_seeds - known_seeds)
-        for seed in orphan_seeds:
+        ]
+        for tag in orphan_tags:
             findings.append({
                 "kind": "orphan-rounds",
-                "cell_seed": seed,
+                "cell_tag": tag,
                 "detail": (
-                    "round_summaries rows filed under a cell_seed no "
-                    "checkpointed cell owns"
-                ),
-                "action": "delete-rounds" if quarantine
-                else "report-only",
-            })
-        stale_seeds = sorted(round_seeds & non_done_seeds)
-        for seed in stale_seeds:
-            findings.append({
-                "kind": "stale-rounds",
-                "cell_seed": seed,
-                "detail": (
-                    "round_summaries rows under a non-done cell — a "
-                    "checkpoint should have cleared them"
+                    "round_summaries rows filed under a tag that is not "
+                    "a done cell"
                 ),
                 "action": "delete-rounds" if quarantine
                 else "report-only",
@@ -307,32 +293,23 @@ def verify_campaign_store(
 
         quarantined = 0
         if quarantine:
-            for tag, seed in demote:
+            for tag in demote:
                 conn.execute(
                     "UPDATE cells SET status='failed', payload=NULL, "
                     "error=?, attempts=0 WHERE cell_tag=?",
                     (_QUARANTINE_ERROR, tag),
                 )
-                conn.execute(
-                    "DELETE FROM round_summaries WHERE cell_seed=?",
-                    (seed,),
-                )
-                quarantined += 1
-            for tag, seed in delete:
+            for tag in delete:
                 conn.execute(
                     "DELETE FROM cells WHERE cell_tag=?", (tag,)
                 )
-                conn.execute(
-                    "DELETE FROM round_summaries WHERE cell_seed=?",
-                    (seed,),
-                )
-                quarantined += 1
-            for seed in orphan_seeds + stale_seeds:
-                conn.execute(
-                    "DELETE FROM round_summaries WHERE cell_seed=?",
-                    (seed,),
-                )
-                quarantined += 1
+            # Demoted and deleted cells are no longer done, so this one
+            # statement clears their rounds along with the orphans.
+            conn.execute(
+                "DELETE FROM round_summaries WHERE cell_tag NOT IN "
+                "(SELECT cell_tag FROM cells WHERE status = 'done')"
+            )
+            quarantined = len(demote) + len(delete) + len(orphan_tags)
             conn.commit()
         return _summary(db_path, len(rows), findings, quarantined)
     finally:
@@ -374,7 +351,7 @@ def format_findings(summary: Dict[str, Any]) -> str:
         f"{summary['quarantined']} quarantined"
     ]
     for finding in summary["findings"]:
-        where = finding.get("cell_tag", finding.get("cell_seed", "-"))
+        where = finding.get("cell_tag", "-")
         lines.append(
             f"  [{finding['kind']}] {where}: {finding['detail']} "
             f"-> {finding['action']}"

@@ -231,8 +231,8 @@ class FaultPlan:
     One plan instance is one process's schedule: worker processes
     reconstruct their own instance from :meth:`to_spec` (or the
     ``REPRO_FAULTLINE`` file) with fresh clocks, which is exactly right
-    because their injection sites (cell execution, round streaming) are
-    keyed per cell, not per process.  Set ``log_path`` to collect the
+    because their injection sites (cell execution, the result reply)
+    are keyed per cell, not per process.  Set ``log_path`` to collect the
     fired injections of *all* processes in one JSONL file (appends of
     one line are atomic well below ``PIPE_BUF``); compare runs on the
     sorted lines, since processes interleave.
@@ -367,10 +367,9 @@ _env_cache: Dict[str, FaultPlan] = {}
 def install(plan: Optional[FaultPlan]) -> None:
     """Install *plan* as this process's ambient fault plan.
 
-    Used by dispatcher workers (which receive the plan spec over the
-    spawn arguments) so the :class:`~repro.core.records.SqliteSink`
-    instances a cell function creates deep inside its call stack pick
-    the plan up without any kwarg threading.  ``install(None)``
+    Every injection site that was not handed a plan explicitly — a
+    :class:`~repro.core.records.SqliteSink`, a dispatcher, a shard
+    merge — picks it up without any kwarg threading.  ``install(None)``
     uninstalls.
     """
     global _installed

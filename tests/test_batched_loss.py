@@ -438,7 +438,7 @@ def test_sweep_cell_streams_to_sink_dir(tmp_path):
         {"n": 3, "values": 4, "record_policy": "none",
          "sink_dir": str(tmp_path)},
         seed=123,
-    )
+    ).payload
     # The payload records the basename only — never the absolute path —
     # so campaign reports stay byte-identical across machines.
     assert payload["sink_file"].startswith("cell-123-")
@@ -452,7 +452,7 @@ def test_sweep_cell_streams_to_sink_dir(tmp_path):
         {"n": 4, "values": 4, "record_policy": "none",
          "sink_dir": str(tmp_path)},
         seed=123,
-    )
+    ).payload
     assert other["sink_file"] != payload["sink_file"]
 
 

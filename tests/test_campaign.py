@@ -2,12 +2,11 @@
 
 Covers the PR's durability contract end to end:
 
-* ``SqliteSink`` round-trips round summaries (write, reopen, read back
-  ordered by round) and survives two processes appending to one
-  database (WAL mode);
-* ``JsonlSink``/``SqliteSink`` open lazily, so a cell that raises
-  before round 1 leaves nothing on disk (the ``consensus_sweep_cell``
-  exception path);
+* ``SqliteSink`` round-trips a cell's round summaries (write with the
+  cell's checkpoint, reopen, read back ordered by round, keyed on the
+  cell's tag), and a re-checkpoint replaces them;
+* ``JsonlSink`` opens lazily, so a cell that raises before round 1
+  leaves nothing on disk (the ``consensus_sweep_cell`` exception path);
 * ``CampaignRunner.resume`` is idempotent — the parity suite interrupts
   after any prefix under every dispatcher configuration ({1, 4} workers
   x {no timeout, timeout}) and each resumed report is byte-identical to
@@ -23,7 +22,11 @@ Covers the PR's durability contract end to end:
 * teardown is deterministic: every test asserts no leaked child
   processes afterwards (an autouse fixture), and ``close()`` — not GC
   timing — reaps the pool;
-* a killed or failed attempt leaves zero rows in ``round_summaries``;
+* a killed or failed attempt leaves zero rows in ``round_summaries``,
+  and every cell of a grid with a literal ``seed`` axis keeps its own
+  rounds (the store verifies clean);
+* a store written by the ``(cell_seed, round)``-keyed schema migrates
+  in place and reports like a fresh run;
 * ``failed`` cells are retried on resume only within the
   ``max_retries`` budget (``attempts`` is migrated into pre-existing
   stores in place); a store created under a different base_seed is
@@ -42,10 +45,21 @@ import time
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.core.records import JsonlSink, RecordPolicy, RoundSummary, SqliteSink
+from repro.core.records import (
+    JsonlSink,
+    RecordPolicy,
+    RoundSummary,
+    SqliteSink,
+    round_row,
+)
 from repro.experiments.campaign import CampaignRunner, cell_tag
-from repro.experiments.dispatch import CampaignDispatcher
-from repro.experiments.harness import SweepRunner, consensus_sweep_cell
+from repro.experiments.dispatch import CampaignDispatcher, CellOutput
+from repro.experiments.harness import (
+    SweepRunner,
+    cell_seed,
+    consensus_sweep_cell,
+)
+from repro.experiments.verify import verify_campaign_store
 
 
 @pytest.fixture(autouse=True)
@@ -86,86 +100,67 @@ def _summary(r: int, bc: int = 2, crashed=(), decided=None) -> RoundSummary:
 
 
 # ----------------------------------------------------------------------
-# SqliteSink: the observer protocol and the store
+# SqliteSink: a cell's checkpoint and its rounds
 # ----------------------------------------------------------------------
+def _record(sink: SqliteSink, tag: str, summaries, status="done") -> None:
+    sink.record_cell(
+        tag=tag, seed=1, index=0, params_text="{}", status=status,
+        payload_text="{}", rounds=[round_row(s) for s in summaries],
+    )
+
+
 def test_sqlite_sink_roundtrip_ordered_by_round(tmp_path):
     db = str(tmp_path / "campaign.db")
-    with SqliteSink(db, cell_seed=11) as sink:
-        # Out-of-order writes must still read back ordered by round.
-        for r in (3, 1, 2):
-            sink(_summary(r, bc=r, crashed={r}, decided={0: r * 10}))
-        assert sink.rounds_written == 3
     with SqliteSink(db) as sink:
-        rows = sink.read_summaries(cell_seed=11)
+        # Out-of-order rows must still read back ordered by round.
+        _record(sink, "t=11", [
+            _summary(r, bc=r, crashed={r}, decided={0: r * 10})
+            for r in (3, 1, 2)
+        ])
+    with SqliteSink(db) as sink:
+        rows = sink.read_summaries("t=11")
     assert [s.round for s in rows] == [1, 2, 3]
     assert [s.broadcast_count for s in rows] == [1, 2, 3]
     assert rows[0].crashed_during == frozenset({1})
     assert rows[2].decided_during == {0: 30}
     # A different cell's keyspace is empty.
     with SqliteSink(db) as sink:
-        assert sink.read_summaries(cell_seed=999) == []
+        assert sink.read_summaries("t=999") == []
 
 
 def test_sqlite_sink_write_is_idempotent_per_round(tmp_path):
     db = str(tmp_path / "campaign.db")
-    with SqliteSink(db, cell_seed=5) as sink:
-        sink(_summary(1, bc=1))
-        sink(_summary(1, bc=4))  # replayed round overwrites, no dup key
-        assert [s.broadcast_count for s in sink.read_summaries()] == [4]
+    with SqliteSink(db) as sink:
+        _record(sink, "t=5", [_summary(1, bc=1), _summary(2, bc=1)])
+        # A re-checkpoint replaces every row of the cell, no dup key ...
+        _record(sink, "t=5", [_summary(1, bc=4)])
+        assert [s.broadcast_count for s in sink.read_summaries("t=5")] \
+            == [4]
+        # ... and a non-done checkpoint leaves the cell none at all.
+        _record(sink, "t=5", [], status="failed")
+        assert sink.read_summaries("t=5") == []
 
 
-def test_sqlite_sink_streams_from_engine(tmp_path):
+def test_sqlite_sink_streams_from_engine(tmp_path, make_runner):
+    """A NONE-policy cell still hands every round to the store: the
+    engine calls observers under every record policy."""
     db = str(tmp_path / "campaign.db")
-    payload = consensus_sweep_cell(
-        {"n": 3, "values": 4, "record_policy": "none", "sqlite_db": db},
-        seed=77,
+    runner = make_runner(
+        consensus_sweep_cell, db_path=db, base_seed=77, in_process=True,
     )
+    (outcome,) = runner.resume(n=[3], values=[4], record_policy=["none"])
     with SqliteSink(db) as sink:
-        rows = sink.read_summaries(cell_seed=77)
-    assert len(rows) == payload["rounds"]
-    assert [s.round for s in rows] == list(range(1, payload["rounds"] + 1))
+        rows = sink.read_summaries(cell_tag(outcome.cell))
+    rounds = outcome.payload["rounds"]
+    assert len(rows) == rounds
+    assert [s.round for s in rows] == list(range(1, rounds + 1))
 
 
-def test_sqlite_sink_rejects_after_close_and_without_seed(tmp_path):
-    db = str(tmp_path / "campaign.db")
-    sink = SqliteSink(db, cell_seed=1)
+def test_sqlite_sink_rejects_after_close(tmp_path):
+    sink = SqliteSink(str(tmp_path / "campaign.db"))
     sink.close()
-    with pytest.raises(ConfigurationError):
-        sink(_summary(1))
-    storeless = SqliteSink(db)  # store-only: observing needs a cell_seed
-    with pytest.raises(ConfigurationError):
-        storeless(_summary(1))
-    storeless.close()
-
-
-def _append_rounds(db: str, cell_seed: int, rounds: int) -> None:
-    """Two-process append worker (module-level so it forks/spawns)."""
-    with SqliteSink(db, cell_seed=cell_seed) as sink:
-        for r in range(1, rounds + 1):
-            sink(_summary(r, bc=cell_seed))
-
-
-def test_sqlite_sink_concurrent_two_process_append(tmp_path):
-    db = str(tmp_path / "campaign.db")
-    # Create the schema up front so both writers race only on appends —
-    # and close the connection before forking (an inherited sqlite
-    # descriptor can break the writers' WAL locking).
-    with SqliteSink(db, cell_seed=0) as schema:
-        schema._connect()
-    procs = [
-        multiprocessing.Process(target=_append_rounds, args=(db, seed, 40))
-        for seed in (101, 202)
-    ]
-    for p in procs:
-        p.start()
-    for p in procs:
-        p.join(60)
-    assert all(p.exitcode == 0 for p in procs)
-    with SqliteSink(db) as sink:
-        for seed in (101, 202):
-            rows = sink.read_summaries(cell_seed=seed)
-            assert [s.round for s in rows] == list(range(1, 41))
-            assert all(s.broadcast_count == seed for s in rows)
+    with pytest.raises(ConfigurationError, match="closed"):
+        _record(sink, "t=1", [_summary(1)])
 
 
 # ----------------------------------------------------------------------
@@ -189,23 +184,13 @@ def test_sweep_cell_failure_before_round_one_leaves_no_sink_file(
         raise RuntimeError("engine refused to start")
 
     monkeypatch.setattr(execution, "run_consensus", boom)
-    db = str(tmp_path / "campaign.db")
     with pytest.raises(RuntimeError, match="refused to start"):
         consensus_sweep_cell(
-            {"n": 3, "values": 4, "sink_dir": str(tmp_path / "sinks"),
-             "sqlite_db": db},
+            {"n": 3, "values": 4, "sink_dir": str(tmp_path / "sinks")},
             seed=9,
         )
     sink_dir = tmp_path / "sinks"
-    assert not db_exists_with_rows(db)
     assert not sink_dir.exists() or list(sink_dir.iterdir()) == []
-
-
-def db_exists_with_rows(db: str) -> bool:
-    if not os.path.exists(db):
-        return False
-    with SqliteSink(db) as sink:
-        return bool(sink.read_summaries(cell_seed=9))
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +270,7 @@ def test_outcomes_payloads_survive_the_json_roundtrip(tmp_path):
     outcomes = runner.resume(**AXES)
     fresh = consensus_sweep_cell(
         outcomes[0].params, outcomes[0].cell.seed
-    )
+    ).payload
     # Stored payloads are the canonical-JSON round-trip of fresh ones.
     assert outcomes[0].payload == json.loads(
         json.dumps(fresh, sort_keys=True, default=str)
@@ -307,17 +292,21 @@ def test_store_with_different_base_seed_is_rejected(tmp_path):
 
 def test_rerun_clears_stale_rounds_from_a_dead_attempt(tmp_path):
     db = str(tmp_path / "campaign.db")
-    runner = _serial_runner(db, extra_params={"sqlite_db": db})
-    # Simulate a killed earlier attempt: 40 orphan rounds streamed under
-    # a pending cell's seed, with no cells row checkpointed.
+    runner = _serial_runner(db)
+    # Simulate a dead earlier attempt: 40 orphan rounds filed under a
+    # pending cell's tag, with no cells row checkpointed.
     victim = runner.cells(**AXES)[0]
-    with SqliteSink(db, cell_seed=victim.seed) as sink:
-        for r in range(1, 41):
-            sink(_summary(r, bc=9))
+    with SqliteSink(db) as sink:
+        conn = sink._connect()
+        conn.executemany(
+            "INSERT INTO round_summaries VALUES (?, ?, 9, '[]', '{}')",
+            [(cell_tag(victim), r) for r in range(1, 41)],
+        )
+        conn.commit()
     outcomes = runner.resume(**AXES)
     (outcome,) = [o for o in outcomes if o.cell.seed == victim.seed]
     with SqliteSink(db) as sink:
-        rows = sink.read_summaries(cell_seed=victim.seed)
+        rows = sink.read_summaries(cell_tag(victim))
     # No stale rows past the real attempt's final round.
     assert len(rows) == outcome.payload["rounds"] < 40
     assert all(s.broadcast_count != 9 for s in rows)
@@ -325,15 +314,41 @@ def test_rerun_clears_stale_rounds_from_a_dead_attempt(tmp_path):
 
 def test_campaign_streams_round_summaries_into_the_same_db(tmp_path):
     db = str(tmp_path / "campaign.db")
-    runner = _serial_runner(db, extra_params={"sqlite_db": db})
+    runner = _serial_runner(db, extra_params={"label": "infra-only"})
     outcomes = runner.resume(max_cells=2, **AXES)
     with SqliteSink(db) as sink:
         for outcome in outcomes:
-            rows = sink.read_summaries(cell_seed=outcome.cell.seed)
+            rows = sink.read_summaries(cell_tag(outcome.cell))
             assert len(rows) == outcome.payload["rounds"]
     # extra_params stay out of cell identity: tags only hold grid coords.
-    assert "sqlite_db" not in cell_tag(outcomes[0].cell)
-    assert "sqlite_db" not in runner.report(**AXES)
+    assert "infra-only" not in cell_tag(outcomes[0].cell)
+    assert "infra-only" not in runner.report(**AXES)
+
+
+@pytest.mark.parametrize("in_process", [True, False],
+                         ids=["in-process", "pooled"])
+def test_seed_axis_cells_keep_their_own_rounds(
+    tmp_path, make_runner, in_process
+):
+    """A literal ``seed`` axis gives every cell the same run seed; each
+    cell must still own exactly its own rounds, show them in the table
+    report, and leave a store that verifies clean."""
+    db = str(tmp_path / "campaign.db")
+    runner = make_runner(
+        consensus_sweep_cell, db_path=db, base_seed=0, processes=2,
+        in_process=in_process,
+    )
+    axes = dict(n=[4, 8], seed=[5])
+    outcomes = runner.resume(**axes)
+    assert [o.status for o in outcomes] == ["done", "done"]
+    rows = runner.report_table(**axes).splitlines()[2:-2]
+    with SqliteSink(db) as store:
+        for outcome, row in zip(outcomes, rows):
+            rounds = outcome.payload["rounds"]
+            assert len(store.read_summaries(cell_tag(outcome.cell))) \
+                == rounds
+            assert row.split()[3] == str(rounds)
+    assert verify_campaign_store(db)["ok"]
 
 
 # ----------------------------------------------------------------------
@@ -402,17 +417,13 @@ def _napping_cell(params, seed):
 
 
 def _streaming_cell(params, seed):
-    """Streams five rounds, then (by trial) returns, hangs, or raises."""
-    from repro.core.records import SqliteSink
-
-    with SqliteSink(params["db"], cell_seed=seed) as sink:
-        for r in range(1, 6):
-            sink(_summary(r, bc=7))
+    """Collects five rounds, then (by trial) returns, hangs, or raises."""
+    rounds = [round_row(_summary(r, bc=7)) for r in range(1, 6)]
     if params["trial"] == 1:
         time.sleep(120)
     if params["trial"] == 2:
         raise RuntimeError("deterministic crash after streaming")
-    return {"seed": seed, "trial": params["trial"]}
+    return CellOutput({"seed": seed, "trial": params["trial"]}, rounds)
 
 
 def test_deadline_pool_times_out_cells_in_parallel(tmp_path, make_runner):
@@ -630,22 +641,22 @@ def test_idle_hook_fires_after_every_completion(
 @pytest.mark.parametrize("processes", [0, 4])
 def test_dead_attempts_leave_zero_round_rows(tmp_path, make_runner, processes):
     """A timed-out or failed attempt contributes nothing to
-    round_summaries — its partial rows are cleared at checkpoint time
-    (timed_out cells never re-run, so the pre-run sweep can't help)."""
+    round_summaries — a dead attempt never delivers its rounds to the
+    parent, the store's only writer."""
     db = str(tmp_path / "campaign.db")
     runner = make_runner(
         _streaming_cell, db_path=db, base_seed=0, processes=processes,
-        cell_timeout=1.5, extra_params={"db": db},
+        cell_timeout=1.5,
     )
     outcomes = runner.resume(trial=[0, 1, 2])
     assert [o.status for o in outcomes] == ["done", "timed_out", "failed"]
     with SqliteSink(db) as sink:
-        done, hung, crashed = (o.cell.seed for o in outcomes)
+        done, hung, crashed = (cell_tag(o.cell) for o in outcomes)
         # The completed attempt's rounds survive ...
-        assert len(sink.read_summaries(cell_seed=done)) == 5
+        assert len(sink.read_summaries(done)) == 5
         # ... while killed and failed attempts leave zero rows.
-        assert sink.read_summaries(cell_seed=hung) == []
-        assert sink.read_summaries(cell_seed=crashed) == []
+        assert sink.read_summaries(hung) == []
+        assert sink.read_summaries(crashed) == []
 
 
 # ----------------------------------------------------------------------
@@ -757,6 +768,105 @@ def test_pre_attempts_store_is_migrated_in_place(tmp_path, make_runner):
     assert outcomes[0].payload == {"seed": done_cell.seed, "trial": 0}
 
 
+_SEED_KEYED_SCHEMA = """
+CREATE TABLE cells (
+    cell_tag   TEXT PRIMARY KEY,
+    cell_seed  INTEGER NOT NULL,
+    cell_index INTEGER NOT NULL,
+    params     TEXT NOT NULL,
+    status     TEXT NOT NULL,
+    payload    TEXT,
+    error      TEXT,
+    elapsed    REAL,
+    attempts   INTEGER NOT NULL DEFAULT 1
+);
+CREATE TABLE round_summaries (
+    cell_seed       INTEGER NOT NULL,
+    round           INTEGER NOT NULL,
+    broadcast_count INTEGER NOT NULL,
+    crashed_during  TEXT NOT NULL,
+    decided_during  TEXT NOT NULL,
+    PRIMARY KEY (cell_seed, round)
+);
+CREATE TABLE campaign_meta (
+    key   TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+"""
+
+#: Two coordinates whose derived seeds collide under base_seed 3, so
+#: rounds filed under that seed in a seed-keyed store have two owners.
+_COLLIDING_TRIALS = (14280, 15158)
+
+
+def test_seed_keyed_store_is_migrated_in_place(tmp_path):
+    """A store whose rounds are keyed on ``(cell_seed, round)`` is
+    re-keyed on first open: rows under a seed exactly one done cell
+    carries move to that cell's tag; an orphan row and a row under a
+    seed two cells share are dropped.  The result verifies clean and
+    reports byte-identically to a fresh run."""
+    axes = dict(n=[3, 4], detector=["0-OAC"], loss_rate=[0.1],
+                trial=[0, 1], values=[8], record_policy=["summary"])
+    fresh_db = str(tmp_path / "fresh.db")
+    fresh = _serial_runner(fresh_db)
+    fresh.resume(**axes)
+    with SqliteSink(fresh_db) as store:
+        fresh_rows = {
+            tag: store.read_summaries(tag) for tag in store.get_cells()
+        }
+    src = sqlite3.connect(fresh_db)
+    cells = src.execute("SELECT * FROM cells").fetchall()
+    meta = src.execute("SELECT * FROM campaign_meta").fetchall()
+    rounds = src.execute(
+        "SELECT c.cell_seed, r.round, r.broadcast_count, "
+        "r.crashed_during, r.decided_during FROM round_summaries r "
+        "JOIN cells c USING (cell_tag)"
+    ).fetchall()
+    src.close()
+
+    legacy_db = str(tmp_path / "legacy.db")
+    conn = sqlite3.connect(legacy_db)
+    conn.executescript(_SEED_KEYED_SCHEMA)
+    conn.executemany(
+        "INSERT INTO cells VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)", cells
+    )
+    conn.executemany("INSERT INTO campaign_meta VALUES (?, ?)", meta)
+    conn.executemany(
+        "INSERT INTO round_summaries VALUES (?, ?, ?, ?, ?)", rounds
+    )
+    shared = cell_seed(3, trial=_COLLIDING_TRIALS[0])
+    assert cell_seed(3, trial=_COLLIDING_TRIALS[1]) == shared
+    for index, trial in enumerate(_COLLIDING_TRIALS):
+        conn.execute(
+            "INSERT INTO cells VALUES (?, ?, ?, ?, 'done', '{}', NULL, "
+            "0.0, 1)",
+            (f"trial={trial}", shared, index, json.dumps({"trial": trial})),
+        )
+    conn.execute(
+        "INSERT INTO round_summaries VALUES (?, 1, 3, '[]', '{}')",
+        (shared,),
+    )
+    conn.execute(
+        "INSERT INTO round_summaries VALUES (999999, 1, 2, '[]', '{}')"
+    )
+    conn.commit()
+    conn.close()
+
+    with SqliteSink(legacy_db) as store:
+        for tag, summaries in fresh_rows.items():
+            assert store.read_summaries(tag) == summaries
+        for trial in _COLLIDING_TRIALS:
+            assert store.read_summaries(f"trial={trial}") == []
+        total = store._connect().execute(
+            "SELECT COUNT(*) FROM round_summaries"
+        ).fetchone()[0]
+    assert total == len(rounds)
+    assert verify_campaign_store(legacy_db)["ok"]
+    migrated = _serial_runner(legacy_db)
+    assert migrated.report(**axes) == fresh.report(**axes)
+    assert migrated.report_table(**axes) == fresh.report_table(**axes)
+
+
 # ----------------------------------------------------------------------
 # Report portability across machines
 # ----------------------------------------------------------------------
@@ -831,7 +941,6 @@ def test_report_table_aggregates_rounds_per_cell(tmp_path, make_runner):
     db = str(tmp_path / "campaign.db")
     runner = make_runner(
         consensus_sweep_cell, db_path=db, base_seed=3, processes=0,
-        extra_params={"sqlite_db": db},
     )
     axes = dict(
         n=[3], detector=["0-OAC"], loss_rate=[0.1, 0.3], trial=[0],
@@ -855,7 +964,7 @@ def test_report_table_aggregates_rounds_per_cell(tmp_path, make_runner):
         cols = row.split()
         assert cols[0] == cell_tag(outcome.cell)
         assert cols[1] == "done"
-        rounds, mean = aggregates[outcome.cell.seed]
+        rounds, mean = aggregates[cell_tag(outcome.cell)]
         assert cols[3] == str(rounds)
         assert cols[4] == f"{mean:.2f}"
     # Every header starts at a consistent column (alignment).

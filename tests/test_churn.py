@@ -461,7 +461,8 @@ def test_churn_sweep_cell_payload_shape():
     params = dict(n=4, detector="0-OAC", loss_rate=0.1, churn_rate=0.25,
                   topology="ring", trial=0, values=8,
                   record_policy="summary")
-    payload = churn_sweep_cell(params, 42)
+    output = churn_sweep_cell(params, 42)
+    payload = output.payload
     assert set(payload) == {
         "present", "decided", "decision_rate", "agreement",
         "distinct_values", "termination_round", "rounds", "churned",
@@ -469,8 +470,12 @@ def test_churn_sweep_cell_payload_shape():
     }
     assert payload["churned"]
     assert payload["present"] >= 2
+    # The store gets one row per round.
+    assert [row[0] for row in output.rounds] == list(
+        range(1, payload["rounds"] + 1)
+    )
     # Byte-determinism: the cell is a pure function of (params, seed).
-    assert payload == churn_sweep_cell(dict(params), 42)
+    assert output == churn_sweep_cell(dict(params), 42)
 
 
 def test_churn_sweep_cell_rejects_unknown_topology():
@@ -481,7 +486,7 @@ def test_churn_sweep_cell_rejects_unknown_topology():
 def test_static_churn_cell_matches_paper_model():
     payload = churn_sweep_cell(
         dict(n=4, churn_rate=0.0, topology="clique", values=8), 3
-    )
+    ).payload
     assert not payload["churned"]
     assert payload["rejoins"] == 0
     assert payload["decision_rate"] == 1.0
@@ -497,8 +502,7 @@ def test_e19_interrupted_campaign_resumes_byte_identically(tmp_path):
 
     def make(db):
         return CampaignRunner(
-            churn_sweep_cell, db_path=db, base_seed=0,
-            extra_params={"sqlite_db": db}, in_process=True,
+            churn_sweep_cell, db_path=db, base_seed=0, in_process=True,
         )
 
     interrupted_db = str(tmp_path / "interrupted.db")

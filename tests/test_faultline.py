@@ -48,7 +48,7 @@ import time
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.core.records import RoundSummary, SqliteSink
+from repro.core.records import RoundSummary, SqliteSink, round_row
 from repro.experiments.campaign import (
     CampaignRunner,
     cell_tag,
@@ -130,7 +130,6 @@ def reference_report(tmp_path_factory):
         db = str(tmp_path_factory.mktemp("faultline-ref") / f"{grid}.db")
         runner = CampaignRunner(
             cell_fn, db_path=db, base_seed=3, in_process=True,
-            extra_params={"sqlite_db": db},
         )
         outcomes = runner.resume(**axes)
         assert all(o.status == "done" for o in outcomes)
@@ -210,9 +209,9 @@ def test_times_budget_is_per_key():
         FaultRule(site="sqlite", action={"kind": "operational-error"},
                   times=2),
     ])
-    assert plan.fire("sqlite", "write-round") is not None
-    assert plan.fire("sqlite", "write-round") is not None
-    assert plan.fire("sqlite", "write-round") is None  # budget spent
+    assert plan.fire("sqlite", "set-meta") is not None
+    assert plan.fire("sqlite", "set-meta") is not None
+    assert plan.fire("sqlite", "set-meta") is None  # budget spent
     assert plan.fire("sqlite", "record-cell") is not None  # fresh key
 
 
@@ -269,7 +268,7 @@ def test_sqlite_check_raises_flavored_transient_errors():
         ])
         with pytest.raises(sqlite3.OperationalError,
                            match=r"\[injected\]") as err:
-            plan.sqlite_check("write-round")
+            plan.sqlite_check("record-cell")
         assert message in str(err.value)
     bad = FaultPlan([
         FaultRule(site="sqlite",
@@ -277,10 +276,10 @@ def test_sqlite_check_raises_flavored_transient_errors():
                           "flavor": "meteor"}),
     ])
     with pytest.raises(ConfigurationError, match="unknown sqlite fault"):
-        bad.sqlite_check("write-round")
+        bad.sqlite_check("record-cell")
     wrong = FaultPlan([FaultRule(site="sqlite", action={"kind": "sleep"})])
     with pytest.raises(ConfigurationError, match="only honours"):
-        wrong.sqlite_check("write-round")
+        wrong.sqlite_check("record-cell")
 
 
 def test_resolve_precedence_explicit_installed_env(tmp_path, monkeypatch):
@@ -315,15 +314,23 @@ def test_plan_from_file_rejects_garbage(tmp_path):
 # ----------------------------------------------------------------------
 # SqliteSink hardening: busy_timeout + seeded retry with backoff
 # ----------------------------------------------------------------------
-def _summary(r: int, bc: int = 2) -> RoundSummary:
-    return RoundSummary(
-        round=r, broadcast_count=bc,
-        crashed_during=frozenset(), decided_during={},
+def _record_done(sink: SqliteSink, tag: str, rounds) -> None:
+    """The campaign runner's write: one done cell plus its rounds."""
+    sink.record_cell(
+        tag=tag, seed=1, index=0, params_text="{}", status="done",
+        payload_text="{}",
+        rounds=[
+            round_row(RoundSummary(
+                round=r, broadcast_count=2,
+                crashed_during=frozenset(), decided_during={},
+            ))
+            for r in rounds
+        ],
     )
 
 
 def test_sink_sets_busy_timeout_on_every_connection(tmp_path):
-    with SqliteSink(str(tmp_path / "c.db"), cell_seed=1) as sink:
+    with SqliteSink(str(tmp_path / "c.db")) as sink:
         timeout = sink._connect().execute(
             "PRAGMA busy_timeout"
         ).fetchone()[0]
@@ -334,46 +341,50 @@ def test_sink_absorbs_injected_transient_errors(tmp_path, monkeypatch):
     delays = []
     monkeypatch.setattr(time, "sleep", delays.append)
     plan = FaultPlan([
-        FaultRule(site="sqlite", match="write-round",
+        FaultRule(site="sqlite", match="record-cell",
                   action={"kind": "operational-error", "flavor": "locked"},
                   count_in=(1, 2)),
     ], seed=9)
     db = str(tmp_path / "c.db")
-    with SqliteSink(db, cell_seed=11, fault_plan=plan) as sink:
-        sink(_summary(1))  # two injected failures, third attempt lands
+    with SqliteSink(db, fault_plan=plan) as sink:
+        # Two injected failures, the third attempt lands.
+        _record_done(sink, "t=1", rounds=[1, 2])
         assert [
             (e["key"], e["count"]) for e in plan.log
-        ] == [("write-round", 1), ("write-round", 2)]
+        ] == [("record-cell", 1), ("record-cell", 2)]
         # The backoff schedule is the seeded one, attempt by attempt.
         assert delays == [
-            sink._backoff_delay("write-round", 1),
-            sink._backoff_delay("write-round", 2),
+            sink._backoff_delay("record-cell", 1),
+            sink._backoff_delay("record-cell", 2),
         ]
-        assert [s.round for s in sink.read_summaries()] == [1]
+        assert sink.get_cells()["t=1"]["status"] == "done"
+        assert [s.round for s in sink.read_summaries("t=1")] == [1, 2]
 
 
 def test_sink_exhausted_retry_budget_raises_loudly(tmp_path, monkeypatch):
     monkeypatch.setattr(time, "sleep", lambda _s: None)
     plan = FaultPlan([
-        FaultRule(site="sqlite", match="write-round",
+        FaultRule(site="sqlite", match="record-cell",
                   action={"kind": "operational-error", "flavor": "busy"}),
     ])
-    with SqliteSink(str(tmp_path / "c.db"), cell_seed=1,
-                    fault_plan=plan) as sink:
+    with SqliteSink(str(tmp_path / "c.db"), fault_plan=plan) as sink:
         # Never a raw "database is busy": the exhausted budget names
         # the deployment mistake that causes persistent lock-outs.
         with pytest.raises(ConfigurationError,
                            match="give each run its own store path"):
-            sink(_summary(1))
-    assert plan.clock.count("sqlite", "write-round") \
+            _record_done(sink, "t=1", rounds=[1, 2])
+        # Neither the cell nor any of its rounds landed.
+        assert sink.get_cells() == {}
+        assert sink.read_summaries("t=1") == []
+    assert plan.clock.count("sqlite", "record-cell") \
         == SqliteSink.MAX_SQLITE_ATTEMPTS
 
 
 def test_backoff_delay_is_deterministic_and_exponential(tmp_path):
     sink = SqliteSink(str(tmp_path / "c.db"))
-    delays = [sink._backoff_delay("write-round", a) for a in (1, 2, 3)]
+    delays = [sink._backoff_delay("record-cell", a) for a in (1, 2, 3)]
     assert delays == [
-        sink._backoff_delay("write-round", a) for a in (1, 2, 3)
+        sink._backoff_delay("record-cell", a) for a in (1, 2, 3)
     ]
     base = SqliteSink.SQLITE_BACKOFF
     for attempt, delay in enumerate(delays, start=1):
@@ -492,17 +503,17 @@ def test_faulted_pass_plus_clean_resume_matches_reference(
     faulted = make_runner(
         cell_fn, db_path=db, base_seed=3, processes=processes,
         fault_plan=builtin_plan(plan_name), stall_timeout=STALL_TIMEOUT,
-        extra_params={"sqlite_db": db},
     )
     faulted.resume(**axes)
     faulted.close()
     clean = make_runner(
         cell_fn, db_path=db, base_seed=3, processes=processes,
-        extra_params={"sqlite_db": db},
     )
     final = clean.resume(**axes)
     assert all(o.status == "done" for o in final)
     assert clean.report(**axes) == reference_report[grid]
+    # No dead attempt left rounds behind, whatever the plan killed.
+    assert verify_campaign_store(db)["ok"]
 
 
 @pytest.mark.parametrize("plan_name", builtin_plan_names())
@@ -525,7 +536,6 @@ def test_same_plan_and_seed_replays_identical_schedule(
             processes=1,
             fault_plan=builtin_plan(plan_name, log_path=log),
             stall_timeout=STALL_TIMEOUT,
-            extra_params={"sqlite_db": str(tmp_path / f"c-{attempt}.db")},
         )
         runner.resume(**E18_AXES)
         runner.close()
@@ -600,7 +610,8 @@ def test_verify_detects_then_quarantines_then_converges(
         (tags[2],),
     )
     conn.execute(
-        "INSERT INTO round_summaries VALUES (999999, 1, 2, '[]', '{}')"
+        "INSERT INTO round_summaries VALUES ('no|such=cell', 1, 2, "
+        "'[]', '{}')"
     )
     conn.commit()
     conn.close()
@@ -613,6 +624,10 @@ def test_verify_detects_then_quarantines_then_converges(
     assert set(by_kind) >= {
         "cell-status", "cell-payload", "cell-identity", "orphan-rounds",
     }
+    # Rounds are orphans under an unknown tag, under a tag whose cell
+    # row was renamed away, and under a cell that is no longer done.
+    assert sorted(f["cell_tag"] for f in by_kind["orphan-rounds"]) \
+        == sorted([tags[0], tags[2], "no|such=cell"])
     assert all(
         f["action"] == "report-only" for f in first["findings"]
     )

@@ -339,8 +339,16 @@ def test_sweep_serial_and_parallel_agree():
 
 def test_consensus_sweep_cell_policies_agree():
     params = {"n": 4, "values": 8, "cst": 2}
-    summary = consensus_sweep_cell(dict(params, record_policy="summary"), 11)
-    full = consensus_sweep_cell(dict(params, record_policy="full"), 11)
+    outputs = {
+        policy: consensus_sweep_cell(dict(params, record_policy=policy), 11)
+        for policy in ("summary", "full", "none")
+    }
+    # The engine calls observers under every policy: the campaign store
+    # receives the same round rows whatever the cell retains.
+    assert outputs["summary"].rounds == outputs["full"].rounds \
+        == outputs["none"].rounds
+    summary = outputs["summary"].payload
+    full = outputs["full"].payload
     assert summary["decisions"] == full["decisions"]
     assert summary["decision_rounds"] == full["decision_rounds"]
     assert summary["rounds"] == full["rounds"]

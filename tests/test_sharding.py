@@ -55,7 +55,7 @@ AXES = dict(
 def _runner(db: str, base_seed: int = 3, **kwargs) -> CampaignRunner:
     return CampaignRunner(
         consensus_sweep_cell, db_path=db, base_seed=base_seed,
-        in_process=True, extra_params={"sqlite_db": db}, **kwargs,
+        in_process=True, **kwargs,
     )
 
 
