@@ -25,11 +25,14 @@ therefore machine-independent.
 The per-adversary section runs every built-in loss adversary three ways
 under ``RecordPolicy.NONE``: batched resolution on the array kernel
 (``batched_rounds_per_second``), batched resolution with the kernel
-forced off (``scalar_kernel_rounds_per_second``), and the per-receiver
-base-class fallback with the kernel off (``legacy_rounds_per_second`` —
-the path a third-party adversary without a batched override still
-takes).  CI gates on the ``capture`` row: the vectorised block-substream
-rework must hold >= 2x the pre-rework 829 rounds/sec figure.
+forced off (``scalar_kernel_rounds_per_second``), and one resolution
+per receiver with the kernel off (``legacy_rounds_per_second``): the
+base-class loop a third-party adversary with only ``losses`` takes,
+here over each built-in's per-receiver view, i.e. one one-receiver
+``losses_for_round`` call per receiver.  All three legs see the same
+losses.  CI gates on the ``capture`` row: the committed figure must
+hold >= 2x the 829 rounds/sec of the capture adversary before it was
+vectorised.
 """
 
 from __future__ import annotations
@@ -60,11 +63,12 @@ from repro.detectors.classes import ZERO_AC
 
 
 class PerReceiverFallback(LossAdversary):
-    """Force the base-class per-receiver fallback for any adversary.
+    """Force the base-class per-receiver loop for any adversary.
 
-    Delegates ``losses`` but deliberately does not override
-    ``losses_for_round``, so the engine exercises the legacy resolution
-    path — the baseline every batched override is measured against.
+    Delegates ``losses`` (a built-in's per-receiver view) but
+    deliberately does not override ``losses_for_round``, so the engine
+    resolves each round with one call per receiver — the baseline every
+    batched resolution is measured against.
     """
 
     def __init__(self, inner: LossAdversary) -> None:

@@ -89,13 +89,10 @@ def main() -> None:
     # * both paths produce *indistinguishable executions* for the same
     #   seeds, under every record policy (asserted by the equivalence
     #   suite in tests/test_array_kernel.py);
-    # * determinism of the randomised adversaries is per backend:
-    #   executions replay bit-for-bit given (seed, backend).  In
-    #   particular CaptureEffectLoss's batched numpy path draws one
-    #   substream block per (seed, round, senders, receivers) — same
-    #   capture law as its per-receiver substreams, so statistics
-    #   agree across backends even though the concrete loss patterns
-    #   differ.
+    # * one seed, one execution: every seeded loss draw is a pure
+    #   function of (seed, round, receiver, sender), so IIDLoss and
+    #   CaptureEffectLoss give the same loss pattern with or without
+    #   numpy.
     # Dynamic membership: every scenario above has a fixed process set,
     # but the environment also takes a *churn adversary* — processes
     # leave mid-execution and (re)join with fresh state, forgetting

@@ -6,20 +6,24 @@ message — constraint 5, which the engine enforces regardless of what an
 adversary says).  A loss adversary answers one question per (round,
 receiver): *which senders' messages are dropped here?*
 
-The per-receiver :meth:`LossAdversary.losses` interface is deliberately
-fine-grained so adversaries can create the non-uniform receive sets the
-paper motivates with the capture effect (Section 1.1): two listeners
-within range of the same two broadcasters may receive different messages.
+Answers can be non-uniform across receivers, which is how adversaries
+create the receive sets the paper motivates with the capture effect
+(Section 1.1): two listeners within range of the same two broadcasters
+may receive different messages.
 
-The batched contract
---------------------
+One loss method per adversary
+-----------------------------
 
-The engine's hot path asks one question per *round*, not per receiver:
+The engine asks one question per *round*:
 :meth:`LossAdversary.losses_for_round` returns a mapping from every
-receiver to its drop set.  The base class provides a fallback that loops
-over :meth:`losses`, so third-party adversaries keep working unchanged;
-every built-in overrides it with a genuinely batched resolution.  Two
-conventions let the engine amortise work across receivers:
+receiver to its drop set, and it is the one method every built-in
+implements.  The per-receiver :meth:`LossAdversary.losses` is a view in
+the base class — row ``receiver`` of a one-receiver round — so its
+answer equals the batched row by construction.  A third-party adversary
+may implement :meth:`~LossAdversary.losses` instead; the base class then
+resolves rounds by looping over it.  Overriding neither is a
+``TypeError`` when the subclass is defined.  Three conventions let the
+engine amortise work across receivers:
 
 * **Shared-set aliasing** — a batched adversary may map *several*
   receivers to the *same* set object (e.g. :class:`SilenceLoss` returns
@@ -49,20 +53,20 @@ conventions let the engine amortise work across receivers:
   count matrix instead of per-receiver decrement loops, again without
   ever materialising a python set.
 
-Determinism guarantees: the same seed and the same call sequence replay
-the same execution (the engine always enumerates receivers in index
-order, so engine-driven runs are reproducible end to end).  For the
-RNG-free adversaries the batched and per-receiver paths produce
-*identical* executions.  :class:`CaptureEffectLoss`'s per-receiver draws
-are a pure function of ``(seed, round, receiver)``, so its per-receiver
-pattern is independent of how callers enumerate receivers; its batched
-numpy path draws one vectorised substream block per ``(seed, round)``
-instead — same capture law, different (still fully deterministic)
-pattern.  :class:`IIDLoss`'s batched path consumes its stream in
-receiver-enumeration order: it draws a different (but equally seeded)
-stream than the per-receiver path, with the exact same Bernoulli(p)
-per-pair law, spending O(#losses) draws per round instead of O(n^2)
-(vectorised when numpy is available, geometric gap-skipping otherwise).
+Determinism
+-----------
+
+One rule: every seeded draw is a pure function of ``(seed, round,
+receiver, sender)``, and building the drop sets consumes nothing.  The
+seeded adversaries (:class:`IIDLoss`, :class:`CaptureEffectLoss`) hold
+no random state; each reads 32-bit words from one counter hash (a
+murmur3 ``fmix32`` chain keyed by SHA-256 of the seed, in the spirit of
+Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).
+The hash has two evaluators that return the same words — numpy,
+vectorised over the receivers x senders grid, and a pure-python loop —
+so one seed gives one execution on every backend, whatever order or
+grouping callers enumerate receivers in, and whether or not anyone
+materialises the sets.  :data:`DRAWS` versions this definition.
 
 :class:`EventualCollisionFreedom` is the Property 1 wrapper: it delegates
 to an inner adversary until ``r_cf`` and thereafter forces delivery in
@@ -74,8 +78,6 @@ from __future__ import annotations
 
 import abc
 import hashlib
-import math
-import random
 from collections.abc import Mapping as _MappingABC
 from typing import (
     AbstractSet,
@@ -104,24 +106,87 @@ _np = numpy_or_none()
 #: The empty drop set, shared to avoid churn in the hot path.
 _NO_LOSS: FrozenSet[ProcessId] = frozenset()
 
-#: One-slot pid -> row cache: ``(receivers tuple, positions dict)``.
-_RposCache = Optional[Tuple[tuple, Dict[ProcessId, int]]]
+
+# ----------------------------------------------------------------------
+# The seeded draw: one counter hash, two evaluators
+# ----------------------------------------------------------------------
+#: Version of the seeded draw definition below.  Campaign stores stamp
+#: it (``campaign_meta`` key ``draws``) and refuse cells drawn under
+#: another definition.
+DRAWS = 1
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+#: 2^32: a word is below ``int(p * _SPAN)`` with probability ``p``.
+_SPAN = 1 << 32
+_C1 = 0x85EBCA6B
+_C2 = 0xC2B2AE35
 
 
-def _cached_receiver_positions(
-    receivers: Tuple[ProcessId, ...], cache: _RposCache
-) -> Tuple[Dict[ProcessId, int], _RposCache]:
-    """``(positions, new cache)`` keyed by receiver-tuple *identity*.
+def _fmix32(h: int) -> int:
+    """murmur3's 32-bit finaliser: a bijective avalanche mix of ``h``."""
+    h ^= h >> 16
+    h = (h * _C1) & _M32
+    h ^= h >> 13
+    h = (h * _C2) & _M32
+    return h ^ (h >> 16)
 
-    The engine passes the same indices tuple every round, so the pid ->
-    row map is built once per execution, not once per round; holding the
-    tuple inside the cache keeps the identity stable.  Shared by every
-    array-backed adversary.
+
+def _fmix32_np(h):
+    """:func:`_fmix32` over a uint32 array, in place.
+
+    uint32 products wrap modulo 2^32, which is exactly the ``& _M32`` of
+    the pure-python evaluator.
     """
-    if cache is not None and cache[0] is receivers:
-        return cache[1], cache
-    rpos = {pid: k for k, pid in enumerate(receivers)}
-    return rpos, (receivers, rpos)
+    h ^= h >> 16
+    h *= _C1
+    h ^= h >> 13
+    h *= _C2
+    h ^= h >> 16
+    return h
+
+
+def draw_key(seed: object) -> int:
+    """The 32-bit hash key of an adversary seed (SHA-256 of ``str(seed)``)."""
+    digest = hashlib.sha256(str(seed).encode()).digest()
+    return int.from_bytes(digest[:4], "little")
+
+
+def row_word(key: int, round_index: int, receiver: ProcessId) -> int:
+    """The word of one (round, receiver): ``fmix32(fmix32(key ^ x) ^ r)``.
+
+    The inner ``fmix32(key ^ x)`` is constant within an execution, so
+    the numpy evaluator caches it as the receivers' column.
+    """
+    return _fmix32(_fmix32(key ^ (receiver & _M32)) ^ (round_index & _M32))
+
+
+def pair_words(row: int, senders: Sequence[ProcessId]) -> List[int]:
+    """The pair words ``fmix32(row ^ s)`` of one row, in sender order."""
+    words = []
+    append = words.append
+    for s in senders:
+        h = row ^ (s & _M32)
+        h ^= h >> 16
+        h = (h * _C1) & _M32
+        h ^= h >> 13
+        h = (h * _C2) & _M32
+        append(h ^ (h >> 16))
+    return words
+
+
+#: Rounds whose row words the numpy evaluator computes in one go.
+_ROUND_BLOCK = 32
+
+#: Grids of at most this many (receiver, sender) cells take the loop
+#: evaluator even when numpy is present: below it, numpy's fixed cost
+#: per call exceeds the whole loop.  Both evaluators read the same words.
+_SMALL_GRID = 9
+
+
+def _as_u32(pids: Sequence[ProcessId]):
+    """Process ids as a uint32 array (two's complement, like ``& _M32``)."""
+    return _np.array(pids, dtype=_np.int64).astype(_np.uint32)
 
 
 class ResolvedRoundLosses(Dict[ProcessId, AbstractSet[ProcessId]]):
@@ -158,16 +223,17 @@ class ArrayRoundLosses(_MappingABC):
     sets and the counts can never disagree, and a kernel round that only
     reads counts skips the per-receiver set construction entirely.
     Construction-side contract: ``drop_counts[i]`` **must** equal the
-    size of receiver ``i``'s materialised drop set, and materialisation
-    must not consume randomness any later draw depends on (the built-ins
-    use one per-round substream whose tail is reserved for the sets).
+    size of receiver ``i``'s materialised drop set.  The determinism
+    rule of the module holds here too: every draw is a pure function of
+    ``(seed, round, receiver, sender)``, so materialising the sets (or
+    the pairs) consumes nothing and whether anyone asks for them never
+    changes a later draw.
 
     ``pairs``, when given, is the multi-message acceleration hook: a
     lazy producer of the dropped *(receiver, sender)* position pairs
     (see :meth:`drop_pairs`).  It must describe exactly the same drops
-    as the sets and the counts — same per-round substream rules as
-    ``materialise`` — and self pairs (a sender appearing in its own
-    row) must already be excluded.
+    as the sets and the counts, and self pairs (a sender appearing in
+    its own row) must already be excluded.
     """
 
     __slots__ = (
@@ -235,9 +301,23 @@ class ArrayRoundLosses(_MappingABC):
 
 
 class LossAdversary(abc.ABC):
-    """Chooses, per round and receiver, which senders' messages are lost."""
+    """Chooses, per round and receiver, which senders' messages are lost.
 
-    @abc.abstractmethod
+    Subclasses implement :meth:`losses_for_round` (every built-in does)
+    or :meth:`losses`; each method's default is defined through the
+    other, so overriding neither is rejected when the subclass is
+    defined.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if (cls.losses is LossAdversary.losses
+                and cls.losses_for_round is LossAdversary.losses_for_round):
+            raise TypeError(
+                f"{cls.__name__} must override losses_for_round (or "
+                "losses): each default is defined through the other"
+            )
+
     def losses(
         self,
         round_index: int,
@@ -247,9 +327,16 @@ class LossAdversary(abc.ABC):
         """Senders whose message ``receiver`` loses in ``round_index``.
 
         ``senders`` lists every process that broadcast this round.  The
-        returned set may include ``receiver`` itself but the engine ignores
-        that entry: self-delivery is unconditional in the model.
+        default is a view: row ``receiver`` of a one-receiver
+        :meth:`losses_for_round`, minus ``receiver`` itself (which the
+        engine exempts anyway — self-delivery is unconditional).
         """
+        lost = self.losses_for_round(round_index, senders, (receiver,))[
+            receiver
+        ]
+        if receiver in lost:
+            return lost - {receiver}
+        return lost
 
     def losses_for_round(
         self,
@@ -259,11 +346,10 @@ class LossAdversary(abc.ABC):
     ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
         """Resolve the whole round at once: receiver -> dropped senders.
 
-        The default falls back to one :meth:`losses` call per receiver,
-        so adversaries written against the per-receiver interface keep
-        working.  Built-ins override this with batched implementations
-        (see the module docstring for the aliasing and normalization
-        conventions batched mappings may use).
+        The default loops over :meth:`losses`, for adversaries written
+        against the per-receiver interface (see the module docstring for
+        the aliasing and normalization conventions batched mappings may
+        use).
         """
         losses = self.losses
         out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
@@ -271,8 +357,8 @@ class LossAdversary(abc.ABC):
             lost = losses(round_index, senders, receiver)
             if type(lost) is not set and not isinstance(lost, frozenset):
                 # Coerce annotation-violating adversaries (e.g. a
-                # ScriptedLoss callback returning a list) so downstream
-                # decrement loops never double-count duplicates.
+                # callback returning a list) so downstream decrement
+                # loops never double-count duplicates.
                 lost = set(lost)
             out[receiver] = lost
         return out
@@ -291,14 +377,6 @@ class ReliableDelivery(LossAdversary):
 
     Trivially satisfies ECF with ``r_cf = 1``.
     """
-
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        return _NO_LOSS
 
     def losses_for_round(
         self,
@@ -320,14 +398,6 @@ class SilenceLoss(LossAdversary):
     the backdrop of Theorem 9's ``NOCF`` setting.
     """
 
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        return frozenset(s for s in senders if s != receiver)
-
     def losses_for_round(
         self,
         round_index: int,
@@ -342,11 +412,86 @@ class SilenceLoss(LossAdversary):
         return dict.fromkeys(receivers, frozenset(senders))
 
 
+class _RowWords:
+    """A seed's hash key and the receivers' cached row words.
+
+    Holds no random state — only the key and a cache of what the numpy
+    evaluator can compute ahead within an execution: the receivers'
+    positions, their ``fmix32(key ^ x)`` column, and the row words of a
+    block of :data:`_ROUND_BLOCK` rounds, keyed by the receivers tuple's
+    *identity* (the engine passes the same tuple every round; holding it
+    in the cache keeps the identity stable).
+    """
+
+    __slots__ = ("key", "_column", "_block")
+
+    def __init__(self, seed: object) -> None:
+        self.key = draw_key(seed)
+        self._column: Optional[tuple] = None
+        self._block: Optional[tuple] = None
+
+    def numpy(self, round_index: int, receivers: Tuple[ProcessId, ...]):
+        """``(positions, pids, row words)`` of one round's receivers.
+
+        ``positions`` maps pid -> row and ``pids`` is the receivers as a
+        uint32 array (numpy evaluator).  The row words may be a view
+        into the cached block: callers must not write to them.  A block
+        is computed only once the same receivers come back, so callers
+        that pass fresh receiver lists pay for one round at a time.
+        """
+        cached = self._column
+        if cached is None or cached[0] is not receivers:
+            pids = _as_u32(receivers)
+            column = _fmix32_np(pids ^ self.key)
+            self._column = (
+                receivers, {pid: k for k, pid in enumerate(receivers)},
+                pids, column,
+            )
+            self._block = None
+            return (
+                self._column[1], pids,
+                _fmix32_np(column ^ (round_index & _M32)),
+            )
+        block = self._block
+        if block is None or not 0 <= round_index - block[0] < _ROUND_BLOCK:
+            rounds = _as_u32(range(round_index, round_index + _ROUND_BLOCK))
+            block = self._block = (
+                round_index, _fmix32_np(cached[3] ^ rounds[:, None]),
+            )
+        return cached[1], cached[2], block[1][round_index - block[0]]
+
+
+def _sets_from_cells(
+    receivers: Tuple[ProcessId, ...],
+    senders: Sequence[ProcessId],
+    rows,
+    cols,
+) -> Dict[ProcessId, AbstractSet[ProcessId]]:
+    """Drop sets from row-sorted ``(receiver, sender)`` position arrays."""
+    out: Dict[ProcessId, AbstractSet[ProcessId]] = dict.fromkeys(
+        receivers, _NO_LOSS
+    )
+    if not len(rows):
+        return out
+    senders_l = list(senders)
+    lost = [senders_l[j] for j in cols.tolist()]
+    bounds = _np.searchsorted(rows, _np.arange(len(receivers) + 1)).tolist()
+    for i, pid in enumerate(receivers):
+        a = bounds[i]
+        b = bounds[i + 1]
+        if a != b:
+            out[pid] = set(lost[a:b])
+    return out
+
+
 class IIDLoss(LossAdversary):
     """Independent per-(receiver, sender) loss with probability ``p``.
 
     Models the 20-50% loss regime the empirical studies in Section 1.1
-    report.  Fully seeded: the same seed replays the same loss pattern.
+    report.  The pair ``(receiver, sender)`` loses its message in round
+    ``r`` iff its pair word is below ``floor(p * 2^32)`` — a pure
+    function of ``(seed, r, receiver, sender)``; building the drop sets
+    consumes nothing, and both backends read the same words.
     """
 
     def __init__(self, p: float, seed: int = 0) -> None:
@@ -354,29 +499,7 @@ class IIDLoss(LossAdversary):
             raise ConfigurationError(f"loss probability must be in [0,1]: {p}")
         self.p = p
         self.seed = seed
-        self._rng = random.Random(seed)
-        # Lazily created streams for the batched paths (PCG64 when numpy
-        # is available, a dedicated stdlib stream otherwise); kept
-        # separate from the legacy stream so per-receiver callers are
-        # unaffected by whether batched rounds ran in between.
-        self._np_gen = None
-        self._batch_rng: Optional[random.Random] = None
-        self._rpos_cache: Optional[Tuple[tuple, Dict[ProcessId, int]]] = None
-        # (receivers tuple, senders list, self-row idx, self-cell idx):
-        # revalidated per round by identity + list equality.
-        self._self_cache: Optional[tuple] = None
-
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        # Legacy per-receiver path: one RNG draw per (sender, receiver)
-        # pair.  Locals avoid re-resolving attributes per iteration.
-        rand = self._rng.random
-        p = self.p
-        return {s for s in senders if s != receiver and rand() < p}
+        self._words = _RowWords(seed)
 
     def losses_for_round(
         self,
@@ -384,15 +507,8 @@ class IIDLoss(LossAdversary):
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
     ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
-        # Geometric gap-skipping over the (receiver x sender) grid: the
-        # flat grid is an iid Bernoulli(p) stream, so the gap to the next
-        # loss is geometric and one RNG draw per *loss* replaces one draw
-        # per *pair* — O(p·n²) instead of O(n²), the exact same law.
-        # Self pairs are part of the grid and simply discarded, keeping
-        # index arithmetic trivial without changing any other pair's law.
         p = self.p
-        n_senders = len(senders)
-        if p <= 0.0 or n_senders == 0:
+        if p <= 0.0 or not senders:
             return ResolvedRoundLosses(
                 (pid, _NO_LOSS) for pid in receivers
             )
@@ -400,185 +516,63 @@ class IIDLoss(LossAdversary):
             # Everyone loses everything (self-delivery restored by the
             # engine): one shared interned set.
             return dict.fromkeys(receivers, frozenset(senders))
-        if _np is not None:
-            return self._losses_for_round_np(senders, receivers)
-        log_q = math.log1p(-p)
-        if log_q == 0.0:
-            # log1p underflows to -0.0 only for p below ~1e-16, where the
-            # chance of even one loss in a round is < n^2 * 1e-16 —
-            # indistinguishable from lossless at any statistical
-            # tolerance.
-            return ResolvedRoundLosses(
-                (pid, _NO_LOSS) for pid in receivers
+        cut = int(p * _SPAN)
+        if _np is not None and len(senders) * len(receivers) > _SMALL_GRID:
+            return self._losses_for_round_np(
+                round_index, senders, receivers, cut
             )
-        receiver_list = list(receivers)
-        senders_t = tuple(senders)
-        total = n_senders * len(receiver_list)
+        key = self._words.key
         out = ResolvedRoundLosses()
-        if not receiver_list:
+        for pid in receivers:
+            words = pair_words(row_word(key, round_index, pid), senders)
+            lost = {
+                s for s, w in zip(senders, words) if w < cut and s != pid
+            }
+            out[pid] = lost if lost else _NO_LOSS
+        if _np is None:
             return out
-        if self._batch_rng is None:
-            # A dedicated stream (seeded from the adversary's seed) so
-            # interleaving batched and per-receiver calls never shifts
-            # either stream.
-            self._batch_rng = random.Random(f"{self.seed}|batched")
-        rand = self._batch_rng.random
-        log1p = math.log1p
-        inv_log_q = 1.0 / log_q
-        # Losses arrive in flat-index order, i.e. receiver-major: walk the
-        # current row alongside the skip sequence so each loss costs one
-        # subtraction instead of a divmod, and each row's drop set is
-        # created exactly once, when its first loss appears.
-        row = 0
-        row_start = 0
-        row_end = n_senders
-        pid = receiver_list[0]
-        lost: Optional[Set[ProcessId]] = None
-        idx = -1
-        while True:
-            # Failures before the next success: floor(log(1-U)/log(1-p)).
-            # The float comparison runs before int() so a huge gap (tiny
-            # p can push it past float range) ends the round instead of
-            # overflowing.
-            gap = log1p(-rand()) * inv_log_q
-            if gap >= total:
-                break
-            idx += 1 + int(gap)
-            if idx >= total:
-                break
-            if idx >= row_end:
-                row = idx // n_senders
-                pid = receiver_list[row]
-                row_start = row * n_senders
-                row_end = row_start + n_senders
-                lost = None
-            s = senders_t[idx - row_start]
-            if s == pid:
-                continue
-            if lost is None:
-                out[pid] = lost = {s}
-            else:
-                lost.add(s)
-        for pid in receiver_list:
-            if pid not in out:
-                out[pid] = _NO_LOSS
-        return out
-
-    def _losses_for_round_np(
-        self,
-        senders: Sequence[ProcessId],
-        receivers: Sequence[ProcessId],
-    ) -> "ArrayRoundLosses":
-        """Vectorised whole-round resolution (numpy available).
-
-        Draws the full (receiver x sender) Bernoulli grid in one C call
-        from a dedicated PCG64 stream — the exact stream the pre-array
-        implementation consumed, so executions replay across versions —
-        and reduces it to per-receiver drop *counts* in one vectorised
-        pass (row sums minus the self pairs, which the model exempts).
-        The result is an :class:`ArrayRoundLosses`: the engine's array
-        kernel reads only the counts, while any consumer that needs the
-        actual drop sets materialises all of them lazily from the same
-        grid positions.  Same iid Bernoulli(p) law as the scalar paths,
-        deterministic per seed.
-        """
-        gen = self._np_gen
-        if gen is None:
-            self._np_gen = gen = _np.random.Generator(
-                _np.random.PCG64(self.seed)
-            )
         receivers_t = (
             receivers if type(receivers) is tuple else tuple(receivers)
         )
-        n_senders = len(senders)
-        n_receivers = len(receivers_t)
-        hits = gen.random(n_senders * n_receivers) < self.p
-        # Drop counts: row sums over the receiver-major grid, minus each
-        # receiver-sender's own hit (self-delivery is unconditional).
-        drop_counts = hits.reshape(n_receivers, n_senders).sum(
-            axis=1, dtype=_np.int64
+        drop_counts = _np.array(
+            [len(out[pid]) for pid in receivers_t], dtype=_np.int64
         )
-        # The self-pair positions depend only on the (senders, receivers)
-        # pair, which is stable round over round in steady executions —
-        # cache the index arrays and revalidate by cheap list equality.
-        cached = self._self_cache
-        if (cached is not None and cached[0] is receivers_t
-                and cached[1] == senders):
-            self_rows, self_cells = cached[2], cached[3]
-        else:
-            rpos, self._rpos_cache = _cached_receiver_positions(
-                receivers_t, self._rpos_cache
-            )
-            rows_l: List[int] = []
-            cells_l: List[int] = []
-            for j, s in enumerate(senders):
-                k = rpos.get(s)
-                if k is not None:
-                    rows_l.append(k)
-                    cells_l.append(k * n_senders + j)
-            if rows_l:
-                self_rows = _np.asarray(rows_l, dtype=_np.intp)
-                self_cells = _np.asarray(cells_l, dtype=_np.intp)
-            else:
-                self_rows = self_cells = None
-            self._self_cache = (
-                receivers_t, list(senders), self_rows, self_cells
-            )
-        if self_cells is not None:
-            drop_counts[self_rows] -= hits[self_cells]
+        return ArrayRoundLosses(receivers_t, drop_counts, lambda: out)
+
+    def _losses_for_round_np(
+        self,
+        round_index: int,
+        senders: Sequence[ProcessId],
+        receivers: Sequence[ProcessId],
+        cut: int,
+    ) -> "ArrayRoundLosses":
+        """The numpy evaluator: the whole (receiver x sender) grid at once.
+
+        Drop counts are row sums of the hit grid (self cells cleared —
+        self-delivery is unconditional); the drop sets and dropped pairs
+        are read lazily off the same grid.
+        """
+        receivers_t = (
+            receivers if type(receivers) is tuple else tuple(receivers)
+        )
+        _, pids, rows = self._words.numpy(round_index, receivers_t)
+        sender_ids = _as_u32(senders)
+        hits = _fmix32_np(rows[:, None] ^ sender_ids) < cut
+        hits &= pids[:, None] != sender_ids
+        drop_counts = hits.sum(axis=1, dtype=_np.int64)
 
         def pairs() -> Tuple:
-            # The eager Bernoulli grid already holds every dropped pair;
-            # clearing the self cells (exempt, never drops) on a copy
-            # keeps ``hits`` intact for ``materialise`` and consumes no
-            # randomness.
-            if self_cells is not None:
-                grid = hits.copy()
-                grid[self_cells] = False
-                flat = _np.flatnonzero(grid)
-            else:
-                flat = _np.flatnonzero(hits)
-            rows = flat // n_senders
-            return rows, flat - rows * n_senders
+            return _np.nonzero(hits)
 
         def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
-            flat = _np.flatnonzero(hits)
-            out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-            if not flat.size:
-                for pid in receivers_t:
-                    out[pid] = _NO_LOSS
-                return out
-            rows = flat // n_senders
-            # Fancy-indexing the sender sequence keeps arbitrary hashable
-            # ProcessIds intact (object dtype round-trips through tolist).
-            lost_senders = _np.asarray(senders)[flat - rows * n_senders]
-            bounds = _np.searchsorted(
-                rows, _np.arange(n_receivers + 1)
-            ).tolist()
-            lost_list = lost_senders.tolist()
-            for i, pid in enumerate(receivers_t):
-                a = bounds[i]
-                b = bounds[i + 1]
-                if a == b:
-                    out[pid] = _NO_LOSS
-                    continue
-                lost = set(lost_list[a:b])
-                # Self pairs are part of the grid; discard keeps the
-                # normalized promise (drop sets never name their
-                # receiver).
-                lost.discard(pid)
-                out[pid] = lost if lost else _NO_LOSS
-            return out
+            cell_rows, cell_cols = _np.nonzero(hits)
+            return _sets_from_cells(
+                receivers_t, senders, cell_rows, cell_cols
+            )
 
         return ArrayRoundLosses(
             receivers_t, drop_counts, materialise, pairs=pairs
         )
-
-    def reset(self) -> None:
-        self._rng = random.Random(self.seed)
-        self._np_gen = None
-        self._batch_rng = None
-        self._self_cache = None
 
 
 class CaptureEffectLoss(LossAdversary):
@@ -592,38 +586,22 @@ class CaptureEffectLoss(LossAdversary):
     where listeners within range of the same two senders end up with
     different receive sets.
 
-    Determinism contract
-    --------------------
+    Every draw is a pure function of ``(seed, round, receiver, sender)``
+    (see the module docstring); building the drop sets consumes nothing:
 
-    All randomness is a pure function of ``(seed, round_index)`` plus the
-    receiver — never of hidden stream state — so the same seed always
-    replays the same execution and ``reset()`` has nothing to forget.
-    Concretely there are two equal-law draw schemes, chosen by backend:
+    * **count** — receiver ``x`` with ``m`` competitors decodes
+      ``(row_word * (L + 1)) >> 32`` of them, ``L = min(capture_limit,
+      m)``: uniform on ``{0..L}`` up to a multiply-shift bias of at most
+      ``(L + 1) / 2^32`` per value;
+    * **subset** — the decoded competitors are the ``count`` with the
+      smallest pair words, ties broken by sender position (a uniform
+      ``count``-subset); every other competitor is lost;
+    * **single broadcaster** — the message is lost iff its pair word is
+      below ``floor(p_single_loss * 2^32)``.
 
-    * **Per-receiver substreams** (the reference; also the per-receiver
-      :meth:`losses` interface on every backend): a fresh stdlib stream
-      seeded from ``(seed, round_index, receiver)`` per pair, so the
-      pattern is independent of the order in which callers enumerate
-      receivers.
-    * **One vectorised substream block per round** (the batched path
-      when numpy is available): a fresh PCG64 substream seeded from
-      ``(seed, round_index, senders, receivers)`` serves the whole
-      call — first the per-receiver capture-count draws (one vectorised
-      call), then, lazily, the capture-subset permutations.  The block
-      is a pure function of those four inputs, so engine executions
-      (which always enumerate receivers in index order) are
-      deterministic end to end, and distinct delegated calls within one
-      round — partition groups, multihop neighbourhoods — draw
-      *independent* blocks rather than replaying a shared one.
-
-    Both schemes sample the same law — capture counts uniform on
-    ``{0..min(capture_limit, |others|)}`` and capture subsets uniform
-    without replacement — but their concrete patterns differ, exactly as
-    :class:`IIDLoss`'s batched stream differs from its per-receiver
-    stream.  Within one backend, batched executions replay bit-for-bit;
-    the equivalence suite asserts the engine's array kernel and its
-    pure-python fallback see identical patterns because both consume
-    this same batched resolution.
+    The numpy leg computes the counts eagerly from the receivers' row
+    words alone and the pair-word grid only when the sets or dropped
+    pairs are asked for.
     """
 
     def __init__(
@@ -639,60 +617,7 @@ class CaptureEffectLoss(LossAdversary):
         self.capture_limit = capture_limit
         self.p_single_loss = p_single_loss
         self.seed = seed
-        self._rpos_cache: Optional[Tuple[tuple, Dict[ProcessId, int]]] = None
-
-    def _pair_rng(self, round_index: int, receiver: ProcessId) -> random.Random:
-        # String seeding hashes with SHA-512 internally: deterministic
-        # across runs and platforms, independent of PYTHONHASHSEED.
-        return random.Random(f"{self.seed}|{round_index}|{receiver!r}")
-
-    def _round_gen(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receivers: Sequence[ProcessId],
-    ):
-        """One PCG64 substream per (round, call context), platform-independent.
-
-        Seeded through SHA-512 of the seed, the round, *and* the sender/
-        receiver lists (the same string-hash idiom as :meth:`_pair_rng`),
-        so the substream is independent of ``PYTHONHASHSEED``, identical
-        across platforms, and — crucially — *distinct for distinct
-        delegated calls within one round*: a group-delegating wrapper
-        (``PartitionLoss`` intra resolution, ``MultihopLayer``
-        neighbourhoods) resolves each group against its own block
-        instead of replaying one shared block into correlated losses.
-        """
-        # C-level container reprs: one pass each, no per-element Python.
-        # The engine always hands the same container shapes per call
-        # site (senders list, receivers tuple), so the context string is
-        # stable wherever determinism is observable.
-        context = (
-            f"{self.seed}|{round_index}|{senders!r}|{receivers!r}|block"
-        )
-        digest = hashlib.sha512(context.encode()).digest()
-        entropy = int.from_bytes(digest[:32], "little")
-        return _np.random.Generator(
-            _np.random.PCG64(_np.random.SeedSequence(entropy))
-        )
-
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        others = [s for s in senders if s != receiver]
-        if not others:
-            return _NO_LOSS
-        rng = self._pair_rng(round_index, receiver)
-        if len(senders) == 1:
-            if rng.random() < self.p_single_loss:
-                return frozenset(others)
-            return _NO_LOSS
-        captured_count = rng.randint(0, min(self.capture_limit, len(others)))
-        captured = set(rng.sample(others, captured_count))
-        return {s for s in others if s not in captured}
+        self._words = _RowWords(seed)
 
     def losses_for_round(
         self,
@@ -700,16 +625,39 @@ class CaptureEffectLoss(LossAdversary):
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
     ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
-        if _np is not None and senders:
+        if not senders:
+            return ResolvedRoundLosses(
+                (pid, _NO_LOSS) for pid in receivers
+            )
+        if _np is not None:
             return self._losses_for_round_np(round_index, senders, receivers)
-        # Reference path: each receiver's substream is independent, so
-        # the batched resolution is just the per-receiver one — already
-        # normalized (drop sets are subsets of senders minus the
-        # receiver by construction).
-        losses = self.losses
-        return ResolvedRoundLosses(
-            (pid, losses(round_index, senders, pid)) for pid in receivers
-        )
+        key = self._words.key
+        out = ResolvedRoundLosses()
+        if len(senders) == 1:
+            cut = int(self.p_single_loss * _SPAN)
+            only = frozenset(senders)
+            for pid in receivers:
+                lost = (
+                    pid not in only and pair_words(
+                        row_word(key, round_index, pid), senders
+                    )[0] < cut
+                )
+                out[pid] = only if lost else _NO_LOSS
+            return out
+        limit = self.capture_limit
+        for pid in receivers:
+            others = [j for j, s in enumerate(senders) if s != pid]
+            m = len(others)
+            row = row_word(key, round_index, pid)
+            count = (row * (min(limit, m) + 1)) >> 32
+            if count >= m:
+                out[pid] = _NO_LOSS
+                continue
+            if count:
+                # Stable sort: ties keep sender order.
+                others.sort(key=pair_words(row, senders).__getitem__)
+            out[pid] = {senders[j] for j in others[count:]}
+        return out
 
     def _losses_for_round_np(
         self,
@@ -717,30 +665,18 @@ class CaptureEffectLoss(LossAdversary):
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
     ) -> "ArrayRoundLosses":
-        """Whole-round resolution from one vectorised substream block.
-
-        The round's substream (:meth:`_round_gen`) is consumed in a
-        fixed order: the per-receiver capture counts first — which is
-        all the drop-count array needs — then, only if some consumer
-        materialises the drop sets, one uniform matrix whose per-row
-        argsort yields each receiver's random capture permutation
-        (receiving ``k`` of ``m`` competitors = keeping a uniform
-        ``k``-subset, so taking the first ``k`` of a uniform permutation
-        reproduces ``rng.sample``'s law exactly).  Laziness is safe
-        because nothing else ever draws from the round's substream.
-        """
+        """The numpy evaluator of the same words, as an array resolution."""
         receivers_t = (
             receivers if type(receivers) is tuple else tuple(receivers)
         )
-        n_receivers = len(receivers_t)
         n_senders = len(senders)
-        rpos, self._rpos_cache = _cached_receiver_positions(
-            receivers_t, self._rpos_cache
-        )
-        gen = self._round_gen(round_index, senders, receivers_t)
+        rpos, _, rows = self._words.numpy(round_index, receivers_t)
         if n_senders == 1:
-            (sole,) = tuple(senders)
-            lose = gen.random(n_receivers) < self.p_single_loss
+            (sole,) = senders
+            words = _fmix32_np(rows ^ _as_u32(senders))
+            lose = words.astype(_np.int64) < int(
+                self.p_single_loss * _SPAN
+            )
             k = rpos.get(sole)
             if k is not None:
                 lose[k] = False  # self-delivery: the sender keeps its own
@@ -756,66 +692,56 @@ class CaptureEffectLoss(LossAdversary):
             return ArrayRoundLosses(
                 receivers_t, drop_counts, materialise_single
             )
-        own = _np.zeros(n_receivers, dtype=bool)
+        # Grid cells where a receiver hears itself.
         self_rows: List[int] = []
         self_cols: List[int] = []
         for j, s in enumerate(senders):
             k = rpos.get(s)
             if k is not None:
-                own[k] = True
                 self_rows.append(k)
                 self_cols.append(j)
-        # m = |others| per receiver; capture counts uniform on
-        # {0..min(capture_limit, m)}; everything not captured is lost.
-        m = n_senders - own.astype(_np.int64)
-        capped = _np.minimum(self.capture_limit, m)
-        captured_counts = gen.integers(capped + 1)
-        drop_counts = m - captured_counts
+        m = _np.full(len(receivers_t), n_senders, dtype=_np.int64)
+        if self_rows:
+            m[self_rows] -= 1
+        span = (_np.minimum(self.capture_limit, m) + 1).astype(_np.uint64)
+        captured = (
+            (rows.astype(_np.uint64) * span) >> _np.uint64(32)
+        ).astype(_np.int64)
+        drop_counts = m - captured
 
-        # The capture permutations are one lazy draw from the round's
-        # substream, memoised so the drop sets and the drop pairs (either
-        # may be asked first, or both) derive from the *same* keys — the
-        # substream is consumed at most once however many views resolve.
-        order_cell: List = []
-
-        def capture_order():
-            if not order_cell:
-                # Uniform keys per (receiver, sender); each receiver's
-                # own column is pushed past every finite key so the
-                # first m entries of the row's argsort are a uniform
-                # permutation of its m competitors.
-                keys = gen.random((n_receivers, n_senders))
-                if self_rows:
-                    keys[self_rows, self_cols] = _np.inf
-                order_cell.append(_np.argsort(keys, axis=1))
-            return order_cell[0]
+        # The dropped pairs are memoised so the drop sets and the drop
+        # pairs (either may be asked first, or both) share one grid.
+        pairs_cell: List = []
 
         def pairs_multi() -> Tuple:
-            # Row i keeps its permutation's first k_i competitors and
-            # drops positions k_i..m_i-1; the mask picks exactly those
-            # cells, so the pair count per row equals drop_counts[i].
-            order = capture_order()
-            col = _np.arange(n_senders)
-            mask = (
-                (col >= captured_counts[:, None]) & (col < m[:, None])
-            )
-            rows, pos = _np.nonzero(mask)
-            return rows, order[rows, pos]
+            if not pairs_cell:
+                # Rank keys: the pair word, ties broken by sender
+                # position; a receiver's own column ranks last.
+                keys = _fmix32_np(
+                    rows[:, None] ^ _as_u32(senders)
+                ).astype(_np.uint64) << _np.uint64(32)
+                keys |= _np.arange(n_senders, dtype=_np.uint64)
+                lost = _np.ones(keys.shape, dtype=bool)
+                if self_rows:
+                    keys[self_rows, self_cols] = _np.uint64(_M64)
+                    lost[self_rows, self_cols] = False
+                top = int(captured.max())
+                if top:
+                    # The ``top`` smallest keys per row, in rank order;
+                    # row i decodes the first captured[i] of them.
+                    first = _np.argpartition(keys, range(top), axis=1)
+                    cell_rows, rank = _np.nonzero(
+                        _np.arange(top) < captured[:, None]
+                    )
+                    lost[cell_rows, first[cell_rows, rank]] = False
+                pairs_cell.append(_np.nonzero(lost))
+            return pairs_cell[0]
 
         def materialise_multi() -> Dict[ProcessId, AbstractSet[ProcessId]]:
-            order = capture_order()
-            sender_arr = _np.asarray(senders)
-            out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-            m_list = m.tolist()
-            k_list = captured_counts.tolist()
-            for i, pid in enumerate(receivers_t):
-                mi = m_list[i]
-                ki = k_list[i]
-                if ki >= mi:
-                    out[pid] = _NO_LOSS
-                    continue
-                out[pid] = set(sender_arr[order[i, ki:mi]].tolist())
-            return out
+            cell_rows, cell_cols = pairs_multi()
+            return _sets_from_cells(
+                receivers_t, senders, cell_rows, cell_cols
+            )
 
         return ArrayRoundLosses(
             receivers_t, drop_counts, materialise_multi, pairs=pairs_multi
@@ -850,26 +776,6 @@ class PartitionLoss(LossAdversary):
                 self._group_of[pid] = g
         self.intra = intra or ReliableDelivery()
         self.until_round = until_round
-
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        if self.until_round is not None and round_index > self.until_round:
-            return _NO_LOSS
-        my_group = self._group_of.get(receiver)
-        cross = {
-            s
-            for s in senders
-            if s != receiver and self._group_of.get(s) != my_group
-        }
-        same_group = [
-            s for s in senders if self._group_of.get(s) == my_group
-        ]
-        intra_lost = self.intra.losses(round_index, same_group, receiver)
-        return cross | set(intra_lost)
 
     def losses_for_round(
         self,
@@ -930,16 +836,6 @@ class AlphaLoss(LossAdversary):
     Satisfies ECF from round 1 by construction.
     """
 
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        if len(senders) <= 1:
-            return _NO_LOSS
-        return {s for s in senders if s != receiver}
-
     def losses_for_round(
         self,
         round_index: int,
@@ -990,16 +886,6 @@ class ScriptedLoss(LossAdversary):
         self._round_fn = round_fn
         self._r_cf = r_cf
 
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        if self._fn is not None:
-            return self._fn(round_index, senders, receiver)
-        return self._round_fn(round_index, senders, [receiver])[receiver]
-
     def losses_for_round(
         self,
         round_index: int,
@@ -1037,17 +923,6 @@ class ComposedLoss(LossAdversary):
         if not components:
             raise ConfigurationError("ComposedLoss needs at least one component")
         self.components = list(components)
-
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        dropped: Set[ProcessId] = set()
-        for component in self.components:
-            dropped.update(component.losses(round_index, senders, receiver))
-        return dropped
 
     def losses_for_round(
         self,
@@ -1116,16 +991,6 @@ class EventualCollisionFreedom(LossAdversary):
             raise ConfigurationError("r_cf must be >= 1")
         self.inner = inner
         self._r_cf = r_cf
-
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        if round_index >= self._r_cf and len(senders) == 1:
-            return _NO_LOSS
-        return self.inner.losses(round_index, senders, receiver)
 
     def losses_for_round(
         self,

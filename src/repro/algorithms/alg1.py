@@ -14,7 +14,9 @@ Two alternating phases:
 Safety rests on majority completeness: no collision notification means a
 strict majority of the proposal messages arrived, and majority sets
 intersect, so a quiet veto round certifies a unique live estimate
-(Lemma 5).  Termination is ``CST + 2`` (Theorem 1).
+(Lemma 5).  Termination is ``CST + 2`` (Theorem 1).  Deciding does not
+halt a process: it keeps proposing its (now final) estimate whenever the
+contention manager makes it active.
 """
 
 from __future__ import annotations
@@ -83,13 +85,16 @@ class Alg1Process(Process):
             self.phase = VETO_PHASE
         else:
             # Line 18: quiet veto round + unique proposal value => decide.
+            # A decided process keeps running: Property 2 promises one
+            # active process per round, not one *undecided* one, so the
+            # wake-up service may keep choosing it, and Theorem 1's
+            # CST + 2 needs it to propose when chosen.
             if (
                 received.is_empty()
                 and cd_advice is not COLLISION
                 and len(self._proposal_values) == 1
             ):
                 self.decide(self.estimate)
-                self.halt()
             self.phase = PROPOSAL
 
 

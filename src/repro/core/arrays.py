@@ -17,9 +17,9 @@ The environment variable exists so the pure-python reference paths can
 be exercised on machines that *do* have numpy installed (CI runs a
 dedicated no-numpy leg, but a local ``REPRO_PURE_PYTHON=1 pytest`` run
 reproduces it without a second virtualenv).  It is read once, at import
-time, because half-switched processes are worse than either mode:
-adversary streams seeded under one backend must never continue under
-the other mid-execution.
+time, so one process never runs half its paths on each backend.  The
+seeded loss adversaries draw the same words on both backends, so the
+choice changes speed, never an execution.
 
 Tests that need to flip backends at runtime monkeypatch the consumer's
 module-level ``_np`` binding instead (the convention established by

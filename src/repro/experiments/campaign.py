@@ -114,6 +114,7 @@ from typing import (
     Tuple,
 )
 
+from ..adversary.loss import DRAWS
 from ..core.errors import ConfigurationError
 from ..core.records import SqliteSink
 from ..testing import faultline
@@ -125,6 +126,27 @@ SKIP_STATUSES: Tuple[str, ...] = ("done", "timed_out")
 
 #: Cell statuses a resume retries (subject to the ``max_retries`` budget).
 RETRY_STATUSES: Tuple[str, ...] = ("failed",)
+
+
+def _check_draws(path: str, store: SqliteSink) -> Optional[int]:
+    """Refuse a store whose cells came from another seeded-draw definition.
+
+    ``campaign_meta`` key ``draws`` records the
+    :data:`~repro.adversary.loss.DRAWS` version a store's cells were
+    drawn under.  A store stamped with another version — or unstamped
+    but already holding cells, which predate the key and so came from
+    the old per-backend streams — would mix two executions of one seed.
+    Returns the stored stamp (``None`` for an empty unstamped store).
+    """
+    stored = store.get_meta("draws")
+    if stored == DRAWS or (stored is None and not store.cell_count()):
+        return stored
+    raise ConfigurationError(
+        f"campaign db {path!r} has campaign_meta draws={stored!r}, but "
+        f"this build draws seeded losses under draws={DRAWS} — its cells "
+        "came from other random draws than the ones a resume would add; "
+        "rerun the campaign into a fresh store"
+    )
 
 
 def cell_tag(cell: SweepCell) -> str:
@@ -456,8 +478,11 @@ class CampaignRunner:
         and an unsharded resume can never backfill a shard store into a
         corrupt "almost full" grid.  Stores that predate the metadata
         (or were produced by :func:`merge_campaign_stores`, which stamps
-        shard 0/1) are stamped with the current spec in place.
+        shard 0/1) are stamped with the current spec in place.  The
+        ``draws`` key is stamped on first use too, but an unstamped store
+        that already holds cells is refused (see :func:`_check_draws`).
         """
+        stored_draws = _check_draws(self.db_path, store)
         stored_seed = store.get_meta("base_seed")
         if stored_seed is not None and stored_seed != self.base_seed:
             raise ConfigurationError(
@@ -481,6 +506,8 @@ class CampaignRunner:
             store.set_meta("base_seed", self.base_seed)
         if stored_shard is None:
             store.set_meta("shard", mine)
+        if stored_draws is None:
+            store.set_meta("draws", DRAWS)
 
     # ------------------------------------------------------------------
     def _run_pending(
@@ -738,7 +765,9 @@ def merge_campaign_stores(
     what disagrees:
 
     * every input must be a stamped campaign store (``base_seed`` plus
-      shard spec in ``campaign_meta``);
+      shard spec in ``campaign_meta``) whose ``draws`` stamp is this
+      build's :data:`~repro.adversary.loss.DRAWS` (an unstamped shard
+      must hold no cells);
     * all shards must share one ``base_seed`` (different seeds are
       different campaigns whose cells merely look alike);
     * all shards must share one shard count K, carry indices inside
@@ -799,6 +828,7 @@ def merge_campaign_stores(
         # place, so merge_from's column-for-column copy always sees the
         # current shape.
         with SqliteSink(path) as store:
+            _check_draws(path, store)
             base_seed = store.get_meta("base_seed")
             shard = store.get_meta("shard")
             cells = store.cell_count()
@@ -882,6 +912,7 @@ def merge_campaign_stores(
             out.set_meta("base_seed", base_seeds[0])
             out.set_meta("shard", {"count": 1, "index": 0})
             out.set_meta("merged_from", k)
+            out.set_meta("draws", DRAWS)
             # Fold the WAL so the rename moves one complete database,
             # not a main file whose recent history lives in sidecars
             # os.replace would leave behind.

@@ -77,16 +77,6 @@ class PhysicalLayer(LossAdversary, CollisionDetector):
         return self._round_cache[round_index]
 
     # -- LossAdversary interface ----------------------------------------
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        outcomes = self._outcomes(round_index, senders)
-        decoded = set(outcomes[receiver].decoded)
-        return {s for s in senders if s != receiver and s not in decoded}
-
     def losses_for_round(
         self,
         round_index: int,

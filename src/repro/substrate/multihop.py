@@ -147,6 +147,27 @@ class MultihopNetwork:
         return self.neighbors(pid) | {pid}
 
 
+def _group_sets(
+    groups: Dict[tuple, List[ProcessId]],
+    inner_maps: Dict[tuple, Mapping],
+    senders_fs: frozenset,
+) -> Dict[ProcessId, AbstractSet[ProcessId]]:
+    """Drop sets of one round: each group's cross set plus its inner drops."""
+    out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
+    for local, members in groups.items():
+        cross = senders_fs - frozenset(local)
+        inner_map = inner_maps.get(local)
+        for pid in members:
+            inner_lost = inner_map[pid] if inner_map else None
+            if inner_lost:
+                lost: AbstractSet[ProcessId] = set(cross)
+                lost.update(s for s in inner_lost if s != pid)
+            else:
+                lost = cross
+            out[pid] = lost
+    return out
+
+
 class MultihopLayer(LossAdversary, CollisionDetector):
     """Topology-aware loss plus neighbourhood-local collision detection.
 
@@ -171,33 +192,11 @@ class MultihopLayer(LossAdversary, CollisionDetector):
         self.r_acc = r_acc
         self.policy = policy or BenignPolicy()
         self._senders_by_round: Dict[int, Sequence[ProcessId]] = {}
-        self._losses_by_round: Dict[int, Dict[ProcessId, Set[ProcessId]]] = {}
         # Closed-neighbourhood incidence matrix + index positions, built
         # lazily per index tuple for the array advice path.
         self._nbhd_cache: Optional[tuple] = None
 
     # -- LossAdversary ------------------------------------------------------
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        self._senders_by_round[round_index] = list(senders)
-        neighborhood = self.network.closed_neighborhood(receiver)
-        lost = {s for s in senders if s not in neighborhood}
-        local_senders = [s for s in senders if s in neighborhood]
-        if self.inner is not None:
-            lost |= {
-                s
-                for s in self.inner.losses(
-                    round_index, local_senders, receiver
-                )
-                if s != receiver
-            }
-        self._losses_by_round.setdefault(round_index, {})[receiver] = lost
-        return lost
-
     def losses_for_round(
         self,
         round_index: int,
@@ -211,19 +210,15 @@ class MultihopLayer(LossAdversary, CollisionDetector):
         minus the local ones — receiver-independent, so one frozenset per
         group) and a single batched call into the inner adversary.  On
         uniform topologies (cliques, dense grids) this collapses the
-        per-receiver work of the legacy path to a handful of group-level
-        resolutions per round.
+        per-receiver work to a handful of group-level resolutions per
+        round.
 
         With numpy present the round resolves as an
         :class:`ArrayRoundLosses`: per-receiver drop counts come from the
         group sizes (``|cross|`` plus the inner adversary's own batched
-        counts), the drop sets and dropped pairs only on demand.  The
-        inner delegations happen *here*, before the representation
-        branches, in group order — so the inner adversary's randomness is
-        consumed identically whichever representation is served and
-        whether or not the engine's kernel consumes it.  Inner drop sets
-        must stay within the local sender list (minus the receiver);
-        normalized inner mappings guarantee that already.
+        counts), the drop sets and dropped pairs only on demand.  Inner
+        drop sets must stay within the local sender list (minus the
+        receiver); normalized inner mappings guarantee that already.
         """
         self._senders_by_round[round_index] = list(senders)
         network = self.network
@@ -242,28 +237,12 @@ class MultihopLayer(LossAdversary, CollisionDetector):
         senders_fs = frozenset(senders)
         if _np is not None:
             return self._losses_round_array(
-                round_index, senders, receivers, groups, inner_maps,
-                senders_fs,
+                senders, receivers, groups, inner_maps, senders_fs
             )
-        out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-        by_round = self._losses_by_round.setdefault(round_index, {})
-        for local, members in groups.items():
-            cross = senders_fs - frozenset(local)
-            inner_map = inner_maps.get(local)
-            for pid in members:
-                inner_lost = inner_map[pid] if inner_map else None
-                if inner_lost:
-                    lost: AbstractSet[ProcessId] = set(cross)
-                    lost.update(s for s in inner_lost if s != pid)
-                else:
-                    lost = cross
-                out[pid] = lost
-                by_round[pid] = set(lost)
-        return out
+        return _group_sets(groups, inner_maps, senders_fs)
 
     def _losses_round_array(
         self,
-        round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
         groups: Dict[tuple, List[ProcessId]],
@@ -276,8 +255,8 @@ class MultihopLayer(LossAdversary, CollisionDetector):
         ``|cross|`` plus the inner adversary's drop count — read straight
         off the inner :class:`ArrayRoundLosses` when it produced one, so
         an inner ``IIDLoss`` contributes counts without ever
-        materialising a python set.  Sets (and the round bookkeeping
-        they feed) and dropped pairs resolve lazily, sharing one memo.
+        materialising a python set.  Sets and dropped pairs resolve
+        lazily, sharing one memo.
         """
         receivers_t = (
             receivers if type(receivers) is tuple else tuple(receivers)
@@ -309,24 +288,11 @@ class MultihopLayer(LossAdversary, CollisionDetector):
 
         def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
             # Shared by the mapping interface and ``pairs`` below —
-            # whichever view resolves first builds the sets (and the
-            # per-round bookkeeping) exactly once.
+            # whichever view resolves first builds the sets exactly once.
             if not sets_cell:
-                by_round = self._losses_by_round.setdefault(round_index, {})
-                out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-                for local, members in groups.items():
-                    cross = senders_fs - frozenset(local)
-                    inner_map = inner_maps.get(local)
-                    for pid in members:
-                        inner_lost = inner_map[pid] if inner_map else None
-                        if inner_lost:
-                            lost: AbstractSet[ProcessId] = set(cross)
-                            lost.update(s for s in inner_lost if s != pid)
-                        else:
-                            lost = cross
-                        out[pid] = lost
-                        by_round[pid] = set(lost)
-                sets_cell.append(out)
+                sets_cell.append(
+                    _group_sets(groups, inner_maps, senders_fs)
+                )
             return sets_cell[0]
 
         def pairs():
@@ -463,7 +429,6 @@ class MultihopLayer(LossAdversary, CollisionDetector):
 
     def reset(self) -> None:
         self._senders_by_round = {}
-        self._losses_by_round = {}
         self._nbhd_cache = None
         if self.inner is not None:
             self.inner.reset()

@@ -175,7 +175,9 @@ def test_decides_after_quiet_veto_round():
     p.transition(Multiset([3]), NULL, ACTIVE)
     p.message(ACTIVE)
     p.transition(Multiset([]), NULL, ACTIVE)
-    assert p.has_decided and p.decision == 3 and p.halted
+    assert p.has_decided and p.decision == 3 and not p.halted
+    # A decided process still proposes its estimate when made active.
+    assert p.message(ACTIVE) == 3
 
 
 def test_does_not_decide_on_noisy_veto_round():

@@ -19,7 +19,7 @@ must be observationally invisible.  Covered here:
 * :class:`ArrayRoundLosses` keeps its counts and its lazily
   materialised sets consistent, behaves as a Mapping, and the engine
   rejects array resolutions that breach the drop-count budget;
-* the reworked ``CaptureEffectLoss`` block draw is deterministic per
+* ``CaptureEffectLoss``'s numpy leg is deterministic per
   ``(seed, round)`` and samples the documented capture law;
 * ``use_array_kernel=True`` without numpy fails loudly instead of
   silently running the slow path;
@@ -461,7 +461,7 @@ def test_engine_rejects_breaching_array_resolution():
 
 
 # ----------------------------------------------------------------------
-# CaptureEffectLoss: block-substream determinism and law
+# CaptureEffectLoss: seeded determinism and law
 # ----------------------------------------------------------------------
 @needs_numpy
 def test_capture_block_draw_is_deterministic_per_seed_and_round():
@@ -474,7 +474,7 @@ def test_capture_block_draw_is_deterministic_per_seed_and_round():
         right = b.losses_for_round(r, senders, receivers)
         assert left.drop_counts.tolist() == right.drop_counts.tolist()
         assert dict(left) == dict(right)
-    # Different rounds (and different seeds) draw different blocks.
+    # Different rounds (and different seeds) draw different patterns.
     patterns = {
         tuple(CaptureEffectLoss(capture_limit=1, seed=21)
               .losses_for_round(r, senders, receivers)
@@ -488,7 +488,7 @@ def test_capture_block_draw_is_deterministic_per_seed_and_round():
 def test_capture_blocks_are_independent_across_same_round_calls():
     """Group-delegating wrappers (PartitionLoss intra, multihop
     neighbourhoods) resolve each group with its own call in the same
-    round; those calls must draw independent blocks, not replay one."""
+    round; draws keyed on the receivers keep those calls independent."""
     adv = CaptureEffectLoss(capture_limit=1, seed=7)
     group_a = [0, 1, 2]
     group_b = [3, 4, 5]
@@ -520,8 +520,8 @@ def test_capture_blocks_are_independent_across_same_round_calls():
 
 @needs_numpy
 def test_capture_block_draw_counts_are_lazy_but_committed():
-    """Counts read before and after set materialisation agree — the set
-    draw is reserved tail randomness, never a re-draw."""
+    """Counts read before and after set materialisation agree — the
+    sets are read off the same pair words, never a re-draw."""
     adv = CaptureEffectLoss(capture_limit=2, seed=4)
     senders = list(range(6))
     untouched = adv.losses_for_round(3, senders, tuple(range(6)))

@@ -6,8 +6,7 @@ Covers the PR-level guarantees:
   engine resolves losses through their batched overrides or through the
   per-receiver fallback;
 * batched ``IIDLoss`` is seed-deterministic and matches the Bernoulli(p)
-  per-pair marginal (both the vectorised and the pure-python geometric
-  paths);
+  per-pair marginal (on both the numpy and the pure-python evaluator);
 * ``CaptureEffectLoss`` is independent of receiver enumeration order;
 * ``ModelViolation`` still fires on self-delivery breaches (and other
   normalized-contract breaches) through the batched path;
@@ -127,14 +126,7 @@ DETERMINISTIC_ADVERSARIES = {
 
 
 @pytest.mark.parametrize("name", sorted(DETERMINISTIC_ADVERSARIES))
-def test_batched_and_fallback_executions_are_identical(name, monkeypatch):
-    if name == "capture":
-        # Capture's numpy leg draws one substream block per round (same
-        # law, different pattern than the per-receiver substreams), so
-        # batched-equals-per-receiver holds on the pure backend only;
-        # the numpy-leg guarantees (kernel-on vs kernel-off equality,
-        # law, determinism) live in tests/test_array_kernel.py.
-        monkeypatch.setattr(loss_mod, "_np", None)
+def test_batched_and_fallback_executions_are_identical(name):
     batched, legacy = run_pair(DETERMINISTIC_ADVERSARIES[name])
     assert batched.decisions == legacy.decisions
     assert batched.decision_rounds == legacy.decision_rounds
@@ -217,16 +209,15 @@ def test_iid_batched_handles_empty_receivers(backend, monkeypatch):
 
 
 @pytest.mark.parametrize("backend", ["numpy", "python"])
-def test_iid_batched_stream_is_isolated_from_legacy_stream(
-    backend, monkeypatch
-):
+def test_iid_draws_are_stateless_across_interfaces(backend, monkeypatch):
     if backend == "python":
         monkeypatch.setattr(loss_mod, "_np", None)
     senders = list(range(10))
     fresh = IIDLoss(0.5, seed=7)
     expected = fresh.losses(1, senders, 3)
     mixed = IIDLoss(0.5, seed=7)
-    mixed.losses_for_round(1, senders, senders)  # must not shift _rng
+    mixed.losses_for_round(1, senders, senders)  # draws nothing ahead
+    mixed.losses_for_round(2, senders, senders)
     assert mixed.losses(1, senders, 3) == expected
 
 
@@ -284,11 +275,8 @@ def test_capture_effect_is_receiver_order_independent():
     assert forward == backward
 
 
-def test_capture_effect_batched_equals_per_receiver(monkeypatch):
-    # Pure backend: the batched resolution *is* the per-receiver one.
-    # (The numpy leg draws a per-round substream block instead — same
-    # law, different pattern; covered by tests/test_array_kernel.py.)
-    monkeypatch.setattr(loss_mod, "_np", None)
+def test_capture_effect_batched_equals_per_receiver():
+    # The per-receiver answer is a view of the batched row.
     senders = [0, 1, 2, 3]
     receivers = [0, 1, 2, 3, 4, 5]
     adv = CaptureEffectLoss(capture_limit=2, seed=11)

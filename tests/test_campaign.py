@@ -44,6 +44,7 @@ import time
 
 import pytest
 
+from repro.adversary.loss import DRAWS
 from repro.core.errors import ConfigurationError
 from repro.core.records import (
     JsonlSink,
@@ -758,6 +759,9 @@ def test_pre_attempts_store_is_migrated_in_place(tmp_path, make_runner):
 
     with SqliteSink(db) as store:
         rows = store.get_cells()
+        # The schema migration is under test here, not the draws stamp
+        # (an unstamped store that holds cells is refused on resume).
+        store.set_meta("draws", DRAWS)
     assert rows[cell_tag(done_cell)]["attempts"] == 1
 
     # Resume reads the migrated store: the old cell is skipped, the

@@ -7,7 +7,7 @@ choices.  Hypothesis drives randomized-but-legal combinations of all
 three and asserts the safety half of each theorem unconditionally.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.adversary.crash import SeededRandomCrashes
 from repro.adversary.loss import EventualCollisionFreedom, IIDLoss
@@ -108,6 +108,11 @@ def test_alg3_safety_under_arbitrary_loss(seed, loss_rate, n):
 
 
 @given(adversary_params)
+# A decided process stays eligible for the wake-up service's single
+# active slot: had it halted, the service could hand it every proposal
+# round after CST and starve the undecided process past the horizon.
+@example({"seed": 77, "loss_rate": 0.0, "cst": 5, "n": 2,
+          "p_spurious": 0.125, "crash_p": 0.0})
 @SAFETY_SETTINGS
 def test_alg1_terminates_once_hypotheses_hold(p):
     """Liveness: with no crashes after CST, Algorithm 1 decides soon

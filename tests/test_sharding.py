@@ -17,7 +17,9 @@ Covers the sharding PR's contract end to end:
   merged bytes — resume semantics are unchanged by sharding;
 * a store stamped for one shard spec refuses to run as another
   (one store is one shard), and the CLI drives the whole
-  shard -> merge -> report loop.
+  shard -> merge -> report loop;
+* a store is stamped with the seeded-draw definition (``draws``), and
+  resume and merge refuse stores drawn under another one.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import multiprocessing
 
 import pytest
 
+from repro.adversary.loss import DRAWS
 from repro.core.errors import ConfigurationError
 from repro.core.records import SqliteSink
 from repro.experiments.campaign import (
@@ -253,6 +256,51 @@ def test_store_refuses_other_shard_spec(tmp_path):
         _runner(db, shard_index=1, shard_count=2).resume(**AXES)
     with pytest.raises(ConfigurationError, match="shard"):
         _runner(db).resume(**AXES)  # unsharded run on a shard store
+
+
+def _restamp_draws(db: str, draws) -> None:
+    with SqliteSink(db) as store:
+        conn = store._connect()
+        if draws is None:
+            conn.execute("DELETE FROM campaign_meta WHERE key = 'draws'")
+            conn.commit()
+        else:
+            store.set_meta("draws", draws)
+
+
+def test_store_is_stamped_with_the_draw_definition(tmp_path):
+    db = str(tmp_path / "s.db")
+    _runner(db).resume(max_cells=1, **AXES)
+    with SqliteSink(db) as store:
+        assert store.get_meta("draws") == DRAWS
+    for stamp in (DRAWS + 1, None):
+        # Another definition, or cells from before the key existed.
+        _restamp_draws(db, stamp)
+        with pytest.raises(ConfigurationError, match="draws"):
+            _runner(db).resume(**AXES)
+    # An unstamped store without cells is simply stamped on first use.
+    empty = str(tmp_path / "empty.db")
+    sink = SqliteSink(empty)
+    sink._connect()
+    sink.close()
+    _runner(empty).resume(max_cells=1, **AXES)
+    with SqliteSink(empty) as store:
+        assert store.get_meta("draws") == DRAWS
+
+
+def test_merge_rejects_shards_with_different_draw_stamps(tmp_path):
+    paths = _run_shards(tmp_path, 2)
+    _restamp_draws(paths[1], DRAWS + 1)
+    with pytest.raises(ConfigurationError, match="draws"):
+        merge_campaign_stores(str(tmp_path / "m.db"), paths)
+    _restamp_draws(paths[1], None)
+    with pytest.raises(ConfigurationError, match="draws"):
+        merge_campaign_stores(str(tmp_path / "m.db"), paths)
+    _restamp_draws(paths[1], DRAWS)
+    merged = str(tmp_path / "m.db")
+    merge_campaign_stores(merged, paths)
+    with SqliteSink(merged) as store:
+        assert store.get_meta("draws") == DRAWS
 
 
 def test_runner_rejects_bad_shard_spec():
