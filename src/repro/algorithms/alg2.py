@@ -34,7 +34,7 @@ from ..core.types import (
     Message,
     Value,
 )
-from .encoding import BinaryEncoding
+from .encoding import BinaryEncoding, bit_width
 from .markers import VETO, VOTE
 
 PREPARE = "prepare"
@@ -121,10 +121,9 @@ def algorithm_2(values: Iterable[Value]) -> ConsensusAlgorithm:
 
 def cycle_length(value_count: int) -> int:
     """Rounds per prepare/propose/accept cycle: ``⌈lg|V|⌉ + 2``."""
-    return BinaryEncoding(range(value_count)).width + 2
+    return bit_width(value_count) + 2
 
 
 def termination_bound(cst: int, value_count: int) -> int:
     """Theorem 2's termination round: ``CST + 2(⌈lg|V|⌉ + 1)``."""
-    width = BinaryEncoding(range(value_count)).width
-    return cst + 2 * (width + 1)
+    return cst + 2 * (bit_width(value_count) + 1)

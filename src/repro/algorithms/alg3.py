@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 from ..core.algorithm import ConsensusAlgorithm
+from ..core.errors import ConfigurationError
 from ..core.multiset import Multiset
 from ..core.process import Process
 from ..core.types import (
@@ -59,6 +60,8 @@ class Alg3Process(Process):
         super().__init__()
         self.tree = tree
         self.initial_value = initial_value
+        # -1 for a value outside V, which then never votes.
+        self._rank = tree.rank(initial_value)
         self.curr: TreeNode = tree.root
         self._phase_index = 0
         self._nav: List[bool] = [False, False, False]
@@ -69,13 +72,18 @@ class Alg3Process(Process):
         return PHASES[self._phase_index]
 
     def _votes_now(self) -> bool:
-        """Does this process vote in the current phase (lines 7, 13, 19)?"""
-        if self.phase == VOTE_VAL:
-            return self.initial_value == self.curr.value
-        if self.phase == VOTE_LEFT:
-            return self.initial_value in self.curr.left_values
-        if self.phase == VOTE_RIGHT:
-            return self.initial_value in self.curr.right_values
+        """Does this process vote in the current phase (lines 7, 13, 19)?
+
+        The current node's subtree holds ranks ``[lo, hi)`` and its own
+        value has rank ``mid``.
+        """
+        rank, curr = self._rank, self.curr
+        if self._phase_index == 0:  # vote-val
+            return rank == curr.mid
+        if self._phase_index == 1:  # vote-left
+            return curr.lo <= rank < curr.mid
+        if self._phase_index == 2:  # vote-right
+            return curr.mid < rank < curr.hi
         return False
 
     def message(self, cm_advice: ContentionAdvice) -> Optional[Message]:
@@ -128,6 +136,8 @@ def termination_bound(value_count: int, after_round: int = 0) -> int:
     The bound floors at one full 4-round cycle so the trivial ``|V| = 1``
     and ``|V| = 2`` cases stay meaningful.
     """
-    tree = ValueTree(range(value_count))
-    height = max(1, tree.height)
+    if value_count < 1:
+        raise ConfigurationError("value set must be non-empty")
+    # The midpoint tree over |V| values has height floor(lg|V|).
+    height = max(1, value_count.bit_length() - 1)
     return after_round + 8 * height + 4

@@ -10,7 +10,7 @@ same ``V`` — no out-of-band agreement needed.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..core.errors import ConfigurationError
 from ..core.types import Value
@@ -29,6 +29,20 @@ def canonical_order(values: Iterable[Value]) -> List[Value]:
         return sorted(vals, key=repr)
 
 
+def distinct_canonical_values(values: Iterable[Value]) -> Tuple[Value, ...]:
+    """``V`` in :func:`canonical_order`, checked non-empty and duplicate-free.
+
+    Duplicates are members equal under ``==``/hash, such as ``1`` and
+    ``1.0``: they would share one code or tree node.
+    """
+    ordered = tuple(canonical_order(values))
+    if not ordered:
+        raise ConfigurationError("value set must be non-empty")
+    if len(set(ordered)) != len(ordered):
+        raise ConfigurationError("value set contains duplicates")
+    return ordered
+
+
 def bit_width(size: int) -> int:
     """``⌈lg size⌉``, with a floor of 1 so every value has at least one bit."""
     if size < 1:
@@ -45,13 +59,8 @@ class BinaryEncoding:
     """
 
     def __init__(self, values: Iterable[Value]) -> None:
-        ordered = canonical_order(values)
-        if not ordered:
-            raise ConfigurationError("value set must be non-empty")
-        if len(set(map(repr, ordered))) != len(ordered):
-            raise ConfigurationError("value set contains duplicates")
-        self._values: Tuple[Value, ...] = tuple(ordered)
-        self._width = bit_width(len(ordered))
+        self._values = distinct_canonical_values(values)
+        self._width = bit_width(len(self._values))
         self._encode: Dict[Value, str] = {}
         self._decode: Dict[str, Value] = {}
         for rank, value in enumerate(self._values):

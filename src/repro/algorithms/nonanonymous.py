@@ -59,7 +59,7 @@ from ..core.types import (
     Value,
 )
 from .alg2 import Alg2Process, algorithm_2
-from .encoding import BinaryEncoding
+from .encoding import BinaryEncoding, bit_width
 from .markers import VETO, VOTE
 
 PHASE1 = "election"
@@ -289,8 +289,7 @@ def termination_bound(
     dissemination/confirmation triple.
     """
     if value_count <= id_count:
-        width = BinaryEncoding(range(value_count)).width
-        return cst + 2 * (width + 1)
-    width = BinaryEncoding(range(id_count)).width
+        return cst + 2 * (bit_width(value_count) + 1)
+    width = bit_width(id_count)
     election_rounds = 3 * 2 * (width + 2)
     return cst + election_rounds + 6

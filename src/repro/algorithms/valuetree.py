@@ -5,6 +5,13 @@ each search iteration votes on (value at current node, left subtree, right
 subtree).  All anonymous processes must build the *same* tree from the same
 ``V``, so construction is canonical: sort ``V``, recurse on the midpoint.
 
+Every subtree covers a contiguous run of the sorted value tuple, so a node
+stores only its rank interval ``[lo, hi)`` and its own rank ``mid``; the
+left subtree is ``[lo, mid)`` and the right ``(mid, hi)``.  With one dict
+per tree from each value to its node (whose ``mid`` is the value's rank),
+membership in a subtree is two integer comparisons, and the tree is built
+in O(|V|) time and memory: no slicing, no per-node value sets.
+
 ``parent`` of the root is the root itself, making the paper's "ascend to
 the parent" move total (ascending from the root is a harmless no-op — it
 can only occur transiently after crashes).
@@ -12,29 +19,46 @@ can only occur transiently after crashes).
 
 from __future__ import annotations
 
-import dataclasses
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.errors import ConfigurationError
 from ..core.types import Value
-from .encoding import canonical_order
+from .encoding import distinct_canonical_values
 
 
-@dataclasses.dataclass
 class TreeNode:
-    """One node: its value plus the value sets of its two subtrees.
+    """One node: its value and the rank interval ``[lo, hi)`` of its subtree.
 
-    ``left_values`` / ``right_values`` answer the pseudocode's membership
-    tests ``estimate ∈ left[curr]`` in O(1).
+    ``mid`` is the node's own rank in the tree's sorted value tuple.
     """
 
-    value: Value
-    left_values: FrozenSet[Value]
-    right_values: FrozenSet[Value]
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    parent: Optional["TreeNode"] = None
-    depth: int = 0
+    __slots__ = (
+        "value", "lo", "mid", "hi", "left", "right", "parent", "depth",
+        "_values",
+    )
+
+    def __init__(
+        self, values: Tuple[Value, ...], lo: int, hi: int, depth: int
+    ) -> None:
+        self._values = values
+        self.lo = lo
+        self.mid = mid = (lo + hi) // 2
+        self.hi = hi
+        self.value: Value = values[mid]
+        self.depth = depth
+        self.left: Optional[TreeNode] = None
+        self.right: Optional[TreeNode] = None
+        self.parent: Optional[TreeNode] = None
+
+    @property
+    def left_values(self) -> FrozenSet[Value]:
+        """The values of the left subtree."""
+        return frozenset(self._values[self.lo:self.mid])
+
+    @property
+    def right_values(self) -> FrozenSet[Value]:
+        """The values of the right subtree."""
+        return frozenset(self._values[self.mid + 1:self.hi])
 
     def __repr__(self) -> str:
         return f"TreeNode({self.value!r}, depth={self.depth})"
@@ -44,28 +68,20 @@ class ValueTree:
     """A canonical balanced BST over a value set."""
 
     def __init__(self, values: Iterable[Value]) -> None:
-        ordered = canonical_order(values)
-        if not ordered:
-            raise ConfigurationError("value set must be non-empty")
-        if len(set(map(repr, ordered))) != len(ordered):
-            raise ConfigurationError("value set contains duplicates")
-        self._values: Tuple[Value, ...] = tuple(ordered)
-        self.root = self._build(list(ordered), depth=0)
+        self._values = distinct_canonical_values(values)
+        # value -> its node; the node's ``mid`` is the value's rank.
+        self._node_of: Dict[Value, TreeNode] = {}
+        self.root = self._build(0, len(self._values), 0)
         self.root.parent = self.root  # ascending from the root is a no-op
 
-    def _build(self, vals: List[Value], depth: int) -> TreeNode:
-        mid = len(vals) // 2
-        node = TreeNode(
-            value=vals[mid],
-            left_values=frozenset(vals[:mid]),
-            right_values=frozenset(vals[mid + 1:]),
-            depth=depth,
-        )
-        if vals[:mid]:
-            node.left = self._build(vals[:mid], depth + 1)
+    def _build(self, lo: int, hi: int, depth: int) -> TreeNode:
+        node = TreeNode(self._values, lo, hi, depth)
+        self._node_of[node.value] = node
+        if lo < node.mid:
+            node.left = self._build(lo, node.mid, depth + 1)
             node.left.parent = node
-        if vals[mid + 1:]:
-            node.right = self._build(vals[mid + 1:], depth + 1)
+        if node.mid + 1 < hi:
+            node.right = self._build(node.mid + 1, hi, depth + 1)
             node.right.parent = node
         return node
 
@@ -78,40 +94,23 @@ class ValueTree:
     @property
     def height(self) -> int:
         """Longest root-to-leaf edge count — at most ``⌈lg|V|⌉``."""
-        def depth_of(node: Optional[TreeNode]) -> int:
-            if node is None:
-                return -1
-            return 1 + max(depth_of(node.left), depth_of(node.right))
+        return max(node.depth for node in self._node_of.values())
 
-        return depth_of(self.root)
+    def rank(self, value: Value) -> int:
+        """``value``'s index in :attr:`values`, or -1 for a value outside V."""
+        node = self._node_of.get(value)
+        return -1 if node is None else node.mid
 
     def find(self, value: Value) -> TreeNode:
         """Locate ``value``'s node (values are unique, so exactly one)."""
-        node: Optional[TreeNode] = self.root
-        while node is not None:
-            if value == node.value:
-                return node
-            if value in node.left_values:
-                node = node.left
-            elif value in node.right_values:
-                node = node.right
-            else:
-                break
-        raise ConfigurationError(f"value {value!r} not in the tree")
+        node = self._node_of.get(value)
+        if node is None:
+            raise ConfigurationError(f"value {value!r} not in the tree")
+        return node
 
     def nodes(self) -> List[TreeNode]:
         """All nodes in-order (sorted by value)."""
-        out: List[TreeNode] = []
-
-        def walk(node: Optional[TreeNode]) -> None:
-            if node is None:
-                return
-            walk(node.left)
-            out.append(node)
-            walk(node.right)
-
-        walk(self.root)
-        return out
+        return [self._node_of[v] for v in self._values]
 
     def __len__(self) -> int:
         return len(self._values)

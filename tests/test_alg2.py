@@ -12,6 +12,7 @@ from repro.algorithms.alg2 import (
 from repro.algorithms.encoding import BinaryEncoding
 from repro.algorithms.markers import VETO, VOTE
 from repro.core.consensus import evaluate, require_solved
+from repro.core.errors import ConfigurationError
 from repro.core.execution import run_consensus
 from repro.core.multiset import Multiset
 from repro.core.types import ACTIVE, COLLISION, NULL, PASSIVE
@@ -24,6 +25,29 @@ from repro.lowerbounds.alpha import alpha_execution
 
 def test_is_anonymous():
     assert algorithm_2(["a", "b"]).is_anonymous
+
+
+def test_bounds_take_the_encoding_width_without_encoding():
+    """``cycle_length``/``termination_bound`` read the width from |V|.
+
+    Exhaustive over 1..4096 against the longest code's length; an actual
+    encoding of ``range(k)`` for every k <= 512 and around each power of
+    two up to 4096 (encoding every k up to 4096 takes ~10 s).
+    """
+    sampled = set(range(1, 513)) | {
+        2 ** j + d for j in range(10, 13) for d in (-1, 0, 1)
+    }
+    for k in range(1, 4097):
+        width = max(1, len(format(k - 1, "b")))
+        if k in sampled:
+            assert width == BinaryEncoding(range(k)).width, k
+        assert cycle_length(k) == width + 2, k
+        assert termination_bound(5, k) == 5 + 2 * (width + 1), k
+    for bad in (0, -3):
+        with pytest.raises(ConfigurationError):
+            cycle_length(bad)
+        with pytest.raises(ConfigurationError):
+            termination_bound(5, bad)
 
 
 def test_cycle_length_formula():

@@ -5,7 +5,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.algorithms.encoding import BinaryEncoding, bit_width, canonical_order
+from repro.algorithms.encoding import (
+    BinaryEncoding,
+    bit_width,
+    canonical_order,
+    distinct_canonical_values,
+)
+from repro.algorithms.valuetree import ValueTree
 from repro.core.errors import ConfigurationError
 
 
@@ -75,6 +81,16 @@ def test_encoding_rejects_duplicates_and_empty():
         BinaryEncoding(["a", "a"])
     with pytest.raises(ConfigurationError):
         BinaryEncoding([])
+
+
+def test_equal_members_are_duplicates():
+    """``1 == 1.0``: one value, so one code, not two values sharing '01'."""
+    for values in ([1, 1.0, 2], [True, 1, 0], [2, 2.0]):
+        with pytest.raises(ConfigurationError, match="duplicates"):
+            BinaryEncoding(values)
+        with pytest.raises(ConfigurationError, match="duplicates"):
+            ValueTree(values)
+    assert distinct_canonical_values([2, 1.5, 1]) == (1, 1.5, 2)
 
 
 def test_contains_and_len():
