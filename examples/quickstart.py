@@ -80,8 +80,10 @@ def main() -> None:
     # The gating contract:
     #
     # * the capability probe (repro.core.environment.array_kernel_module)
-    #   picks the kernel automatically when numpy is importable; no flag
-    #   needed, and without numpy everything runs pure python;
+    #   picks the kernel automatically when numpy is importable and the
+    #   system has at least 16 processes (below that the pure-python
+    #   path is faster); no flag needed, and without numpy everything
+    #   runs pure python;
     # * export REPRO_PURE_PYTHON=1 (before starting Python), or pass
     #   use_array_kernel=False to ExecutionEngine/run_algorithm/
     #   run_consensus, to force the pure-python reference path — e.g. to
@@ -105,10 +107,9 @@ def main() -> None:
     #   env = ecf_environment(n=6, loss_rate=0.2, seed=1,
     #                         churn=SeededChurn(0.2, seed=102, deadline=6))
     #
-    # Rounds where a leave or join actually fires take the pure-python
-    # reference path (every other round — mere absences included — still
-    # rides the array kernel), and kernel-on vs kernel-off executions
-    # stay byte-identical either way.  There is
+    # Churned rounds, leaves and joins included, run on the same path
+    # as every other round, and kernel-on vs kernel-off executions stay
+    # byte-identical.  There is
     # also a ring overlay for multihop scenarios — successor lists plus
     # Chord-style finger tables:
     #

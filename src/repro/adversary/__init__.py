@@ -42,14 +42,12 @@ from .loss import (
     LossAdversary,
     PartitionLoss,
     ReliableDelivery,
-    ResolvedRoundLosses,
     ScriptedLoss,
     SilenceLoss,
 )
 
 __all__ = [
     "LossAdversary",
-    "ResolvedRoundLosses",
     "ArrayRoundLosses",
     "ReliableDelivery",
     "SilenceLoss",

@@ -15,43 +15,29 @@ One loss method per adversary
 -----------------------------
 
 The engine asks one question per *round*:
-:meth:`LossAdversary.losses_for_round` returns a mapping from every
-receiver to its drop set, and it is the one method every built-in
-implements.  The per-receiver :meth:`LossAdversary.losses` is a view in
-the base class — row ``receiver`` of a one-receiver round — so its
-answer equals the batched row by construction.  A third-party adversary
-may implement :meth:`~LossAdversary.losses` instead; the base class then
-resolves rounds by looping over it.  Overriding neither is a
-``TypeError`` when the subclass is defined.  Three conventions let the
-engine amortise work across receivers:
+:meth:`LossAdversary.losses_for_round` resolves every receiver at once,
+and it is the one method every built-in implements.  The per-receiver
+:meth:`LossAdversary.losses` is a view in the base class — row
+``receiver`` of a one-receiver round — so its answer equals the batched
+row by construction.  A third-party adversary may implement
+:meth:`~LossAdversary.losses` instead; the base class then resolves
+rounds by looping over it.  Overriding neither is a ``TypeError`` when
+the subclass is defined.
 
-* **Shared-set aliasing** — a batched adversary may map *several*
-  receivers to the *same* set object (e.g. :class:`SilenceLoss` returns
-  one interned frozenset for everyone).  The engine detects aliasing by
-  object identity and computes the surviving multiset once per distinct
-  set.  A shared set may contain a receiver that is itself a sender; the
-  engine restores self-delivery per receiver (constraint 5), so sharing
-  never changes semantics.  Corollary for implementers: never mutate a
-  drop set after returning it, and only alias sets whose *pre-exemption*
-  content is identical for all aliased receivers.
-* **Normalized mappings** — an adversary that guarantees every drop set
-  is already a subset of ``senders`` *excluding the receiver itself*
-  returns a :class:`ResolvedRoundLosses` mapping.  The engine then skips
-  the per-element sender/self filtering and treats a receiver appearing
-  in its own drop set as a model violation (a self-delivery breach,
-  surfaced as :class:`~repro.core.errors.ModelViolation`).
-* **Array-backed mappings** — the numpy legs of the randomised built-ins
-  (and both substrate layers) return an :class:`ArrayRoundLosses`:
-  normalized like above, but with the per-receiver *drop counts*
-  precomputed as an int array and the drop sets materialised lazily on
-  first mapping access.  The engine's array round kernel consumes the
-  counts directly and, in single-message rounds, never touches the sets
-  at all.  Adversaries that can cheaply name the dropped *(receiver,
-  sender)* pairs as position arrays additionally provide
-  :meth:`ArrayRoundLosses.drop_pairs`; with interned message codes the
-  kernel then resolves multi-message rounds as one (receivers x codes)
-  count matrix instead of per-receiver decrement loops, again without
-  ever materialising a python set.
+One round type
+--------------
+
+Every built-in answers with an :class:`ArrayRoundLosses`: the receivers
+tuple and each receiver's *drop count* (an int64 array with numpy, a
+list without), with the drop sets and the dropped (receiver, sender)
+pairs resolved lazily.  Counts are what the collision detector sees
+(Definition 6), so single-message rounds never need the sets at all.
+A third-party adversary may still return any mapping of receiver ->
+dropped senders; :func:`as_round_losses` turns it into the round type
+once per round — list values count each sender once, non-senders are
+ignored, the receiver's own message is exempt (constraint 5), and an
+omitted receiver raises :class:`~repro.core.errors.ModelViolation`.  It
+is the only reader of raw drop sets.
 
 Determinism
 -----------
@@ -89,12 +75,11 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 from ..core.arrays import numpy_or_none
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, ModelViolation
 from ..core.types import ProcessId
 
 #: Optional acceleration for whole-round loss resolution.  Shared gating
@@ -189,87 +174,100 @@ def _as_u32(pids: Sequence[ProcessId]):
     return _np.array(pids, dtype=_np.int64).astype(_np.uint32)
 
 
-class ResolvedRoundLosses(Dict[ProcessId, AbstractSet[ProcessId]]):
-    """A *normalized* whole-round loss mapping.
-
-    Returning this type from :meth:`LossAdversary.losses_for_round` is a
-    promise that every drop set is a subset of this round's senders and
-    never contains the receiver it is keyed under.  The engine exploits
-    the promise (``|lost|`` *is* the number of dropped messages) and
-    enforces it: a receiver found in its own drop set, or a non-sender in
-    any drop set, raises :class:`~repro.core.errors.ModelViolation`
-    instead of silently corrupting receive counts.
-    """
+def _as_tuple(pids: Sequence[ProcessId]) -> Tuple[ProcessId, ...]:
+    return pids if type(pids) is tuple else tuple(pids)
 
 
 class ArrayRoundLosses(_MappingABC):
-    """A normalized whole-round loss resolution backed by arrays.
+    """One round's losses, counts first: receiver -> dropped senders.
 
-    The counts-first sibling of :class:`ResolvedRoundLosses`, returned by
-    the numpy legs of the built-in randomised adversaries.  It makes the
-    same normalization promise — every drop set is a subset of this
-    round's senders, excluding its receiver — but carries the
-    *per-receiver drop counts* as a ready-made int array
-    (:attr:`drop_counts`, aligned with :attr:`receivers`), which is all
-    the engine's array round kernel needs to derive receive counts and
-    feed array detector advice; single-message rounds resolve from the
-    counts alone, multi-message rounds additionally read
-    :meth:`drop_pairs` when the adversary provides ``pairs``.
+    :attr:`drop_counts` holds, aligned with :attr:`receivers`, how many
+    of this round's :attr:`senders` each receiver loses — an int64 array
+    with numpy, a list without.  The drop sets behind them are
+    materialised lazily, all at once, on first mapping access, and
+    :meth:`drop_pairs` lazily names the same drops as position pairs.
+    Construction-side contract: receiver ``i``'s drop set is a subset of
+    the senders that excludes the receiver itself (self-delivery is
+    unconditional), and ``drop_counts[i]`` is its size.  The engine
+    checks the counts against each receiver's budget and the sets or
+    pairs it reads against the counts.  Materialising consumes no
+    randomness: every draw is a pure function of ``(seed, round,
+    receiver, sender)``.
 
-    The mapping interface is intact for every other consumer
-    (:class:`ComposedLoss`, the engine's pure-python path, tests): the
-    actual drop *sets* are materialised lazily, all at once, on first
-    mapping access, from the same arrays the counts came from — so the
-    sets and the counts can never disagree, and a kernel round that only
-    reads counts skips the per-receiver set construction entirely.
-    Construction-side contract: ``drop_counts[i]`` **must** equal the
-    size of receiver ``i``'s materialised drop set.  The determinism
-    rule of the module holds here too: every draw is a pure function of
-    ``(seed, round, receiver, sender)``, so materialising the sets (or
-    the pairs) consumes nothing and whether anyone asks for them never
-    changes a later draw.
-
-    ``pairs``, when given, is the multi-message acceleration hook: a
-    lazy producer of the dropped *(receiver, sender)* position pairs
-    (see :meth:`drop_pairs`).  It must describe exactly the same drops
-    as the sets and the counts, and self pairs (a sender appearing in
-    its own row) must already be excluded.
+    ``materialise`` returns the drop-set dict; ``pairs``, when given,
+    returns :meth:`drop_pairs` directly instead of deriving it from the
+    sets.  :meth:`from_sets` wraps sets that are already built.
     """
 
     __slots__ = (
-        "receivers", "drop_counts", "_sets", "_materialise",
+        "receivers", "senders", "drop_counts", "_sets", "_materialise",
         "_pairs", "_pairs_fn",
     )
 
     def __init__(
         self,
         receivers: Tuple[ProcessId, ...],
+        senders: Sequence[ProcessId],
         drop_counts,
         materialise: Callable[[], Dict[ProcessId, AbstractSet[ProcessId]]],
         pairs: Optional[Callable[[], Tuple]] = None,
     ) -> None:
+        if _np is not None and type(drop_counts) is list:
+            drop_counts = _np.array(drop_counts, dtype=_np.int64)
         self.receivers = receivers
+        self.senders = senders
         self.drop_counts = drop_counts
         self._sets: Optional[Dict[ProcessId, AbstractSet[ProcessId]]] = None
         self._materialise = materialise
         self._pairs: Optional[Tuple] = None
         self._pairs_fn = pairs
 
-    def drop_pairs(self) -> Optional[Tuple]:
-        """``(rows, cols)`` position arrays of every dropped pair, or ``None``.
+    @classmethod
+    def from_sets(
+        cls,
+        receivers: Sequence[ProcessId],
+        senders: Sequence[ProcessId],
+        sets: Dict[ProcessId, AbstractSet[ProcessId]],
+    ) -> "ArrayRoundLosses":
+        """The round type over drop sets that already keep the contract."""
+        receivers = _as_tuple(receivers)
+        return cls(
+            receivers, senders, [len(sets[pid]) for pid in receivers],
+            lambda: sets,
+        )
+
+    def drop_pairs(self) -> Tuple:
+        """``(rows, cols)`` positions of every dropped pair.
 
         ``rows[k]`` is the *receiver's* position in :attr:`receivers` and
-        ``cols[k]`` the dropped *sender's* position in this round's
-        sender sequence, one entry per dropped (receiver, sender) pair in
-        any order; self pairs are excluded.  ``None`` means the producer
-        did not provide a pairs representation and the consumer must fall
-        back to the materialised drop sets.  Lazy and memoised, like the
-        sets — the engine only asks in multi-message kernel rounds.
+        ``cols[k]`` the dropped *sender's* position in :attr:`senders`,
+        one entry per dropped (receiver, sender) pair in any order (intp
+        arrays with numpy).  Lazy and memoised; read off the drop sets
+        unless the producer gave a ``pairs`` function.
         """
-        if self._pairs_fn is not None:
-            self._pairs = self._pairs_fn()
-            self._pairs_fn = None
+        if self._pairs is None:
+            if self._pairs_fn is not None:
+                self._pairs = self._pairs_fn()
+                self._pairs_fn = None
+            else:
+                spos = {s: j for j, s in enumerate(self.senders)}
+                sets = self._ensure()
+                rows: list = []
+                cols: list = []
+                for k, pid in enumerate(self.receivers):
+                    for s in sets[pid]:
+                        rows.append(k)
+                        cols.append(spos[s])
+                if _np is not None:
+                    rows = _np.array(rows, dtype=_np.intp)
+                    cols = _np.array(cols, dtype=_np.intp)
+                self._pairs = (rows, cols)
         return self._pairs
+
+    def counts_list(self) -> List[int]:
+        """:attr:`drop_counts` as a list."""
+        counts = self.drop_counts
+        return counts if type(counts) is list else counts.tolist()
 
     def _ensure(self) -> Dict[ProcessId, AbstractSet[ProcessId]]:
         sets = self._sets
@@ -300,6 +298,72 @@ class ArrayRoundLosses(_MappingABC):
         )
 
 
+def as_round_losses(
+    lost_map: Mapping[ProcessId, Iterable[ProcessId]],
+    senders: Sequence[ProcessId],
+    receivers: Sequence[ProcessId],
+) -> ArrayRoundLosses:
+    """One round's answer as an :class:`ArrayRoundLosses`.
+
+    An :class:`ArrayRoundLosses` over exactly ``receivers`` passes
+    through.  Anything else is read as a raw receiver -> dropped senders
+    mapping, once: each value counts every sender once, non-senders are
+    ignored and the receiver's own message is exempt.  A receiver the
+    mapping omits (or maps to ``None``) raises
+    :class:`~repro.core.errors.ModelViolation`.
+    """
+    receivers = _as_tuple(receivers)
+    if type(lost_map) is ArrayRoundLosses and (
+        lost_map.receivers is receivers or lost_map.receivers == receivers
+    ):
+        return lost_map
+    sender_set = frozenset(senders)
+    sets: Dict[ProcessId, AbstractSet[ProcessId]] = {}
+    for pid in receivers:
+        lost = lost_map.get(pid)
+        if lost is None:
+            raise ModelViolation(
+                f"loss adversary omitted receiver {pid} from its round "
+                "resolution"
+            )
+        lost = sender_set.intersection(lost)
+        if pid in lost:
+            lost = lost - {pid}
+        sets[pid] = lost if lost else _NO_LOSS
+    return ArrayRoundLosses.from_sets(receivers, senders, sets)
+
+
+def _no_losses(
+    senders: Sequence[ProcessId], receivers: Sequence[ProcessId]
+) -> ArrayRoundLosses:
+    """Every receiver gets every message."""
+    receivers = _as_tuple(receivers)
+    return ArrayRoundLosses(
+        receivers, senders, [0] * len(receivers),
+        lambda: dict.fromkeys(receivers, _NO_LOSS), pairs=lambda: ((), ()),
+    )
+
+
+def _lose_all(
+    senders: Sequence[ProcessId], receivers: Sequence[ProcessId]
+) -> ArrayRoundLosses:
+    """Every receiver loses every message but its own."""
+    receivers = _as_tuple(receivers)
+    everyone = frozenset(senders)
+    n_senders = len(senders)
+
+    def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
+        return {
+            pid: everyone - {pid} if pid in everyone else everyone
+            for pid in receivers
+        }
+
+    return ArrayRoundLosses(
+        receivers, senders,
+        [n_senders - (pid in everyone) for pid in receivers], materialise,
+    )
+
+
 class LossAdversary(abc.ABC):
     """Chooses, per round and receiver, which senders' messages are lost.
 
@@ -328,15 +392,13 @@ class LossAdversary(abc.ABC):
 
         ``senders`` lists every process that broadcast this round.  The
         default is a view: row ``receiver`` of a one-receiver
-        :meth:`losses_for_round`, minus ``receiver`` itself (which the
-        engine exempts anyway — self-delivery is unconditional).
+        :meth:`losses_for_round`, which never names ``receiver`` itself
+        (self-delivery is unconditional).
         """
-        lost = self.losses_for_round(round_index, senders, (receiver,))[
-            receiver
-        ]
-        if receiver in lost:
-            return lost - {receiver}
-        return lost
+        return as_round_losses(
+            self.losses_for_round(round_index, senders, (receiver,)),
+            senders, (receiver,),
+        )[receiver]
 
     def losses_for_round(
         self,
@@ -346,22 +408,16 @@ class LossAdversary(abc.ABC):
     ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
         """Resolve the whole round at once: receiver -> dropped senders.
 
-        The default loops over :meth:`losses`, for adversaries written
-        against the per-receiver interface (see the module docstring for
-        the aliasing and normalization conventions batched mappings may
-        use).
+        Built-ins return an :class:`ArrayRoundLosses`; the default loops
+        over :meth:`losses`, for adversaries written against the
+        per-receiver interface, and normalises the answers with
+        :func:`as_round_losses`.
         """
         losses = self.losses
-        out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-        for receiver in receivers:
-            lost = losses(round_index, senders, receiver)
-            if type(lost) is not set and not isinstance(lost, frozenset):
-                # Coerce annotation-violating adversaries (e.g. a
-                # callback returning a list) so downstream decrement
-                # loops never double-count duplicates.
-                lost = set(lost)
-            out[receiver] = lost
-        return out
+        return as_round_losses(
+            {pid: losses(round_index, senders, pid) for pid in receivers},
+            senders, receivers,
+        )
 
     def reset(self) -> None:
         """Forget internal state before a fresh execution (default: none)."""
@@ -383,8 +439,8 @@ class ReliableDelivery(LossAdversary):
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
-        return dict.fromkeys(receivers, _NO_LOSS)
+    ) -> ArrayRoundLosses:
+        return _no_losses(senders, receivers)
 
     @property
     def r_cf(self) -> int:
@@ -403,13 +459,8 @@ class SilenceLoss(LossAdversary):
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
-        # One interned drop set for everyone; the engine exempts each
-        # receiver's own message (constraint 5), so sharing the full
-        # sender set is exact.
-        if not senders:
-            return dict.fromkeys(receivers, _NO_LOSS)
-        return dict.fromkeys(receivers, frozenset(senders))
+    ) -> ArrayRoundLosses:
+        return _lose_all(senders, receivers)
 
 
 class _RowWords:
@@ -506,38 +557,26 @@ class IIDLoss(LossAdversary):
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
+    ) -> ArrayRoundLosses:
         p = self.p
         if p <= 0.0 or not senders:
-            return ResolvedRoundLosses(
-                (pid, _NO_LOSS) for pid in receivers
-            )
+            return _no_losses(senders, receivers)
         if p >= 1.0:
-            # Everyone loses everything (self-delivery restored by the
-            # engine): one shared interned set.
-            return dict.fromkeys(receivers, frozenset(senders))
+            return _lose_all(senders, receivers)
         cut = int(p * _SPAN)
         if _np is not None and len(senders) * len(receivers) > _SMALL_GRID:
             return self._losses_for_round_np(
                 round_index, senders, receivers, cut
             )
         key = self._words.key
-        out = ResolvedRoundLosses()
+        out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
         for pid in receivers:
             words = pair_words(row_word(key, round_index, pid), senders)
             lost = {
                 s for s, w in zip(senders, words) if w < cut and s != pid
             }
             out[pid] = lost if lost else _NO_LOSS
-        if _np is None:
-            return out
-        receivers_t = (
-            receivers if type(receivers) is tuple else tuple(receivers)
-        )
-        drop_counts = _np.array(
-            [len(out[pid]) for pid in receivers_t], dtype=_np.int64
-        )
-        return ArrayRoundLosses(receivers_t, drop_counts, lambda: out)
+        return ArrayRoundLosses.from_sets(receivers, senders, out)
 
     def _losses_for_round_np(
         self,
@@ -552,9 +591,7 @@ class IIDLoss(LossAdversary):
         self-delivery is unconditional); the drop sets and dropped pairs
         are read lazily off the same grid.
         """
-        receivers_t = (
-            receivers if type(receivers) is tuple else tuple(receivers)
-        )
+        receivers_t = _as_tuple(receivers)
         _, pids, rows = self._words.numpy(round_index, receivers_t)
         sender_ids = _as_u32(senders)
         hits = _fmix32_np(rows[:, None] ^ sender_ids) < cut
@@ -571,7 +608,7 @@ class IIDLoss(LossAdversary):
             )
 
         return ArrayRoundLosses(
-            receivers_t, drop_counts, materialise, pairs=pairs
+            receivers_t, senders, drop_counts, materialise, pairs=pairs
         )
 
 
@@ -624,15 +661,13 @@ class CaptureEffectLoss(LossAdversary):
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
+    ) -> ArrayRoundLosses:
         if not senders:
-            return ResolvedRoundLosses(
-                (pid, _NO_LOSS) for pid in receivers
-            )
+            return _no_losses(senders, receivers)
         if _np is not None:
             return self._losses_for_round_np(round_index, senders, receivers)
         key = self._words.key
-        out = ResolvedRoundLosses()
+        out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
         if len(senders) == 1:
             cut = int(self.p_single_loss * _SPAN)
             only = frozenset(senders)
@@ -643,7 +678,7 @@ class CaptureEffectLoss(LossAdversary):
                     )[0] < cut
                 )
                 out[pid] = only if lost else _NO_LOSS
-            return out
+            return ArrayRoundLosses.from_sets(receivers, senders, out)
         limit = self.capture_limit
         for pid in receivers:
             others = [j for j, s in enumerate(senders) if s != pid]
@@ -657,7 +692,7 @@ class CaptureEffectLoss(LossAdversary):
                 # Stable sort: ties keep sender order.
                 others.sort(key=pair_words(row, senders).__getitem__)
             out[pid] = {senders[j] for j in others[count:]}
-        return out
+        return ArrayRoundLosses.from_sets(receivers, senders, out)
 
     def _losses_for_round_np(
         self,
@@ -666,9 +701,7 @@ class CaptureEffectLoss(LossAdversary):
         receivers: Sequence[ProcessId],
     ) -> "ArrayRoundLosses":
         """The numpy evaluator of the same words, as an array resolution."""
-        receivers_t = (
-            receivers if type(receivers) is tuple else tuple(receivers)
-        )
+        receivers_t = _as_tuple(receivers)
         n_senders = len(senders)
         rpos, _, rows = self._words.numpy(round_index, receivers_t)
         if n_senders == 1:
@@ -690,7 +723,7 @@ class CaptureEffectLoss(LossAdversary):
                 }
 
             return ArrayRoundLosses(
-                receivers_t, drop_counts, materialise_single
+                receivers_t, senders, drop_counts, materialise_single
             )
         # Grid cells where a receiver hears itself.
         self_rows: List[int] = []
@@ -744,7 +777,8 @@ class CaptureEffectLoss(LossAdversary):
             )
 
         return ArrayRoundLosses(
-            receivers_t, drop_counts, materialise_multi, pairs=pairs_multi
+            receivers_t, senders, drop_counts, materialise_multi,
+            pairs=pairs_multi,
         )
 
 
@@ -782,39 +816,52 @@ class PartitionLoss(LossAdversary):
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
+    ) -> ArrayRoundLosses:
         if self.until_round is not None and round_index > self.until_round:
-            return dict.fromkeys(receivers, _NO_LOSS)
+            return _no_losses(senders, receivers)
         group_of = self._group_of
         by_group: Dict[Optional[int], List[ProcessId]] = {}
         for pid in receivers:
             by_group.setdefault(group_of.get(pid), []).append(pid)
-        out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
+        # One delegated intra resolution per group instead of one per
+        # receiver; a member's count is every other group's senders
+        # plus its intra drops.
+        counts: Dict[ProcessId, int] = {}
+        intra_maps: Dict[Optional[int], ArrayRoundLosses] = {}
         for group, members in by_group.items():
-            # One cross-group drop set per group, shared by all its
-            # members (a receiver's own group is its own, so the shared
-            # set never needs a self exemption), and one delegated intra
-            # resolution per group instead of one per receiver.
-            cross = frozenset(
-                s for s in senders if group_of.get(s) != group
-            )
             same_group = [
                 s for s in senders if group_of.get(s) == group
             ]
-            intra_map = self.intra.losses_for_round(
-                round_index, same_group, members
+            intra_map = intra_maps[group] = as_round_losses(
+                self.intra.losses_for_round(
+                    round_index, same_group, members
+                ),
+                same_group, members,
             )
-            for pid in members:
-                intra_lost = intra_map[pid]
-                if intra_lost:
-                    combined = set(cross)
-                    combined.update(
-                        s for s in intra_lost if s != pid
-                    )
-                    out[pid] = combined
-                else:
-                    out[pid] = cross
-        return out
+            cross = len(senders) - len(same_group)
+            counts.update(zip(
+                members, [cross + c for c in intra_map.counts_list()]
+            ))
+
+        def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
+            # One cross-group set per group, shared by its members (a
+            # receiver's own group is its own, so it never holds the
+            # receiver).
+            out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
+            for group, intra_map in intra_maps.items():
+                cross = frozenset(
+                    s for s in senders if group_of.get(s) != group
+                )
+                for pid in by_group[group]:
+                    intra_lost = intra_map[pid]
+                    out[pid] = cross | intra_lost if intra_lost else cross
+            return out
+
+        receivers = _as_tuple(receivers)
+        return ArrayRoundLosses(
+            receivers, senders, [counts[pid] for pid in receivers],
+            materialise,
+        )
 
     def reset(self) -> None:
         self.intra.reset()
@@ -841,12 +888,11 @@ class AlphaLoss(LossAdversary):
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
+    ) -> ArrayRoundLosses:
         if len(senders) <= 1:
-            return dict.fromkeys(receivers, _NO_LOSS)
-        # Contention: everyone keeps only its own message.  Share the full
-        # sender set; the engine restores each sender's self-delivery.
-        return dict.fromkeys(receivers, frozenset(senders))
+            return _no_losses(senders, receivers)
+        # Contention: everyone keeps only its own message.
+        return _lose_all(senders, receivers)
 
     @property
     def r_cf(self) -> int:
@@ -891,23 +937,15 @@ class ScriptedLoss(LossAdversary):
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
+    ) -> ArrayRoundLosses:
         if self._round_fn is not None:
-            return dict(self._round_fn(round_index, senders, receivers))
-        # Per-receiver script, batched by interning: scripts typically
-        # prescribe group-structured drop sets (the gamma compositions),
-        # so value-identical sets collapse to one shared object and the
-        # engine computes each group's surviving multiset once.
-        fn = self._fn
-        interned: Dict[FrozenSet[ProcessId], FrozenSet[ProcessId]] = {}
-        out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-        for pid in receivers:
-            lost = frozenset(fn(round_index, senders, pid))
-            if not lost:
-                out[pid] = _NO_LOSS
-                continue
-            out[pid] = interned.setdefault(lost, lost)
-        return out
+            lost_map = self._round_fn(round_index, senders, receivers)
+        else:
+            fn = self._fn
+            lost_map = {
+                pid: fn(round_index, senders, pid) for pid in receivers
+            }
+        return as_round_losses(lost_map, senders, receivers)
 
     @property
     def r_cf(self) -> Optional[int]:
@@ -929,48 +967,26 @@ class ComposedLoss(LossAdversary):
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
+    ) -> ArrayRoundLosses:
         # Delegate once per component per round, then union per receiver.
-        # When exactly one component drops anything at a receiver, its set
-        # object is passed through unchanged, preserving any aliasing the
-        # component established.
         maps = [
-            c.losses_for_round(round_index, senders, receivers)
+            as_round_losses(
+                c.losses_for_round(round_index, senders, receivers),
+                senders, receivers,
+            )
             for c in self.components
         ]
         if len(maps) == 1:
             return maps[0]
         out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
         for pid in receivers:
-            first: Optional[AbstractSet[ProcessId]] = None
-            union: Optional[Set[ProcessId]] = None
-            omitted = False
+            lost: AbstractSet[ProcessId] = _NO_LOSS
             for m in maps:
-                lost = m.get(pid)
-                if lost is None:
-                    # A component broke the batched contract by omitting
-                    # this receiver; propagate the omission so the
-                    # engine reports it as a ModelViolation instead of
-                    # crashing here with a bare KeyError.
-                    omitted = True
-                    break
-                if not lost:
-                    continue
-                if first is None:
-                    first = lost
-                else:
-                    if union is None:
-                        union = set(first)
-                    union.update(lost)
-            if omitted:
-                continue
-            if union is not None:
-                out[pid] = union
-            elif first is not None:
-                out[pid] = first
-            else:
-                out[pid] = _NO_LOSS
-        return out
+                more = m[pid]
+                if more:
+                    lost = lost | more if lost else more
+            out[pid] = lost
+        return ArrayRoundLosses.from_sets(receivers, senders, out)
 
     def reset(self) -> None:
         for component in self.components:
@@ -997,10 +1013,13 @@ class EventualCollisionFreedom(LossAdversary):
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
+    ) -> ArrayRoundLosses:
         if round_index >= self._r_cf and len(senders) == 1:
-            return dict.fromkeys(receivers, _NO_LOSS)
-        return self.inner.losses_for_round(round_index, senders, receivers)
+            return _no_losses(senders, receivers)
+        return as_round_losses(
+            self.inner.losses_for_round(round_index, senders, receivers),
+            senders, receivers,
+        )
 
     def reset(self) -> None:
         self.inner.reset()

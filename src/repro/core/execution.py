@@ -13,13 +13,13 @@ One engine round performs, in order:
    (processes crashing *after send* still broadcast; *before send* they
    are silent — both timings are legal resolutions of constraint 2);
 4. the loss adversary resolves the whole round's losses in one batched
-   ``losses_for_round`` call (receiver -> dropped senders; the base class
-   falls back to per-receiver ``losses`` for third-party adversaries);
-   self-delivery is unconditional (constraint 5).  Receivers aliased to
-   the same drop-set object share one surviving-multiset computation,
-   and normalized (``ResolvedRoundLosses``) mappings skip per-element
-   sender/self filtering — see :mod:`repro.adversary.loss` for the
-   batched contract;
+   ``losses_for_round`` call, counts first: an
+   :class:`~repro.adversary.loss.ArrayRoundLosses` holds each
+   receiver's drop count, with the drop sets and dropped pairs lazy (a
+   third-party mapping is normalised once by
+   :func:`~repro.adversary.loss.as_round_losses`); self-delivery is
+   unconditional (constraint 5), so every count must leave a
+   broadcaster its own message;
 5. the collision detector, seeing only the counts ``(c, T)`` exactly as
    Definition 6 prescribes, issues per-process advice;
 6. surviving processes transition on ``(N_r[i], D_r[i], W_r[i])``;
@@ -33,52 +33,46 @@ adversary cannot silently produce an illegal execution.
 The array round kernel
 ----------------------
 
-Steps (4)-(6) have a vectorised fast path, gated on
+Steps (4)-(6) have a vectorised path, gated on
 :func:`~repro.core.environment.array_kernel_module` (numpy present,
 ``REPRO_PURE_PYTHON`` unset) and the engine's ``use_array_kernel``
-knob.  When a batched adversary resolves the round as an
-:class:`~repro.adversary.loss.ArrayRoundLosses` — per-receiver drop
-counts as an int array, drop sets lazy — the kernel derives every
-receive count with one array subtraction, validates drop budgets
-against a sender-membership array, and hands the detector the counts
-*array* through the ``advise_array`` hook (whose default round-trips
-through dict ``advise``, so third-party detectors keep working).
+knob; with the knob at ``None`` an execution runs the kernel when it
+has at least :data:`KERNEL_MIN_RECEIVERS` receivers.  The choice holds
+for every round of the execution, churn events included.  The kernel
+derives every receive count with one array subtraction and hands the
+detector the counts *array* through the ``advise_array`` hook (whose
+default round-trips through dict ``advise``, so third-party detectors
+keep working).  The pure-python reference path reads the same counts
+and calls ``advise`` with a dict.
 
-Receive multisets are shared, never rebuilt per receiver: a
-single-message round shares one multiset per distinct keep count
-(never touching the drop sets at all), and a *multi-message* round —
-distinct payloads in flight — goes through the message interning
+Receive multisets are shared, never rebuilt per receiver.  A
+single-message round — on both paths — shares one multiset per
+distinct keep count and never touches the drop sets.  A
+*multi-message* round on the kernel goes through the message interning
 table (:class:`~repro.core.arrays.MessageInterner` maps payloads to
-small int codes per execution): the adversary's dropped (receiver,
-sender) position pairs (``ArrayRoundLosses.drop_pairs``) turn into a
+small int codes per execution): the dropped (receiver, sender)
+position pairs (``ArrayRoundLosses.drop_pairs``) turn into a
 (receivers x codes) kept-count matrix via ``bincount``, and each
 *distinct* row materialises exactly one multiset
-(:meth:`~repro.core.multiset.Multiset.from_code_row`).  Adversaries
-that provide counts but no pairs fall back to per-receiver decrement
-loops over their materialised drop sets.
+(:meth:`~repro.core.multiset.Multiset.from_code_row`); the reference
+path decrements the round's counts by each lossy receiver's drop set.
 
-Transitions batch too: when every active process shares one class
-whose ``transition_array`` is trusted (the same MRO-guard +
-dict-fallback contract as ``advise_array`` — see
+Transitions batch too: on kernel rounds where every active process
+shares one class whose ``transition_array`` is trusted (the same
+MRO-guard + dict-fallback contract as ``advise_array`` — see
 :func:`~repro.core.process._trusted_transition_array`), the round's
 transitions are one batched call over position-aligned lists instead
 of per-process ``transition``/``_advance_round`` call pairs.
-Heterogeneous fleets and third-party process classes keep the
-per-process loop, call-for-call.
+Heterogeneous fleets, third-party process classes and the reference
+path keep the per-process loop, call-for-call.
 
 The pure-python path remains the reference: both paths produce
 indistinguishable executions under every record policy, including
-crash and halting rounds (``tests/test_array_kernel.py``).  Rounds
-with a pending churn *event* (a leave or join firing this round) take
-the scalar reference path (the *fallback gate*): the scalar loop
-treats ``ArrayRoundLosses`` as a normalized mapping, so no adversary
-randomness is disturbed and kernel-on vs kernel-off byte-identity
-extends to churned executions.  Event-free rounds — including rounds
-where pids are merely *absent* after an earlier leave — ride the
-kernel: the loss adversary is consulted over the full index set on
-both paths, so absence only gates the per-process bookkeeping, not the
-randomness (``tests/test_churn.py`` asserts the gate via the engine's
-``kernel_rounds`` counter).
+crash, halting and churn rounds (``tests/test_array_kernel.py``,
+``tests/test_churn.py``).  Seeded loss draws are pure functions of
+(seed, round, receiver, sender) and the loss adversary is consulted
+over the full index set on both paths, so neither path can shift the
+adversary's randomness.
 
 Record policies
 ---------------
@@ -101,7 +95,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..adversary.churn import NoChurn
-from ..adversary.loss import ArrayRoundLosses, ResolvedRoundLosses
+from ..adversary.loss import as_round_losses
 from ..core.errors import ConfigurationError, ModelViolation
 from .algorithm import Algorithm, ConsensusAlgorithm
 from .arrays import MessageInterner
@@ -122,6 +116,12 @@ RoundObserver = Callable[[RoundArtifact], None]
 #: Shared empty leave set for churn-free rounds (never mutated).
 _NO_LEAVES: frozenset = frozenset()
 
+#: With ``use_array_kernel=None``, executions over at least this many
+#: receivers run the array kernel (when numpy is present) and smaller
+#: ones the pure-python reference path, which is faster there: the
+#: kernel's fixed numpy cost per round outweighs its per-receiver win.
+KERNEL_MIN_RECEIVERS = 16
+
 
 class ExecutionEngine:
     """Runs one execution of a system, producing an :class:`ExecutionResult`.
@@ -136,8 +136,9 @@ class ExecutionEngine:
 
     ``use_array_kernel`` gates the vectorised round kernel (steps 4-5 on
     int arrays, array detector advice): ``None`` (default) enables it
-    exactly when :func:`~repro.core.environment.array_kernel_module`
-    finds numpy; ``False`` forces the pure-python reference path;
+    when :func:`~repro.core.environment.array_kernel_module` finds numpy
+    and the environment has at least :data:`KERNEL_MIN_RECEIVERS`
+    indices; ``False`` forces the pure-python reference path;
     ``True`` insists on the kernel and raises
     :class:`~repro.core.errors.ConfigurationError` when numpy is
     unavailable rather than silently running the slow path.  The two
@@ -174,7 +175,12 @@ class ExecutionEngine:
         self._indices_set: frozenset = frozenset(environment.indices)
         np_mod = array_kernel_module()
         if use_array_kernel is None:
-            self._np = np_mod
+            # Every round's receivers are the environment's indices, so
+            # the size gate is settled once per execution.
+            self._np = (
+                np_mod if len(environment.indices) >= KERNEL_MIN_RECEIVERS
+                else None
+            )
         elif use_array_kernel:
             if np_mod is None:
                 raise ConfigurationError(
@@ -199,12 +205,6 @@ class ExecutionEngine:
         # immutable, so an execution-wide cache is safe and the common
         # single-payload round reuses every previously built bucket.
         self._ms_buckets: Dict[Optional[Message], Dict[int, Multiset]] = {}
-        # Contention-advice list cache for batched transitions, keyed by
-        # the advice dict's identity: managers that return a stable,
-        # unmutated dict (NoContentionManager) pay the index-aligned
-        # list build once instead of every round.
-        self._cm_list_key: Optional[dict] = None
-        self._cm_list: Optional[list] = None
         # Batched-transition cache: the index-aligned process list and
         # the one class every process shares when its
         # ``transition_array`` is trusted (else None -> per-pid loop).
@@ -224,11 +224,8 @@ class ExecutionEngine:
         self._departed: Dict[ProcessId, int] = {}
         self._rejoins: Dict[ProcessId, int] = {}
         self._departed_decisions: List[Tuple[ProcessId, Value, int]] = []
-        #: Rounds this execution resolved through the array kernel.  The
-        #: churn fallback gate is asserted against this: only rounds
-        #: with a pending membership *event* (a leave or join firing)
-        #: take the scalar reference path; event-free rounds — absent
-        #: pids included — ride the kernel.
+        #: Rounds this execution resolved through the array kernel: every
+        #: round when the kernel is on, none when it is off.
         self.kernel_rounds: int = 0
         if self._has_churn:
             absent = frozenset(churn.initially_absent(environment.indices))
@@ -274,11 +271,7 @@ class ExecutionEngine:
         # manager or crash adversary look at it); leaves are collected
         # now and committed at the end of the round, with ``after_send``
         # deciding whether the final broadcast goes out — the same two
-        # legal timings as crashes.  Only rounds with a *pending event*
-        # (a leave or join firing now) take the scalar reference path
-        # below; rounds where pids are merely absent after an earlier
-        # leave ride the kernel — the loss adversary sees the full index
-        # set on both paths, so absence never shifts its randomness.
+        # legal timings as crashes.
         leave_after_send: frozenset = _NO_LEAVES
         leave_before_send: frozenset = _NO_LEAVES
         event_round = False
@@ -377,217 +370,79 @@ class ExecutionEngine:
                     base_counts[m] = base_get(m, 0) + 1
 
         # (4) Loss resolution and receive multisets.  One batched
-        # ``losses_for_round`` call resolves the whole round (the base
-        # class falls back to per-receiver ``losses`` for third-party
-        # adversaries).  The round's full broadcast multiset is built
-        # once; loss-free receivers share it outright (Multiset is
-        # immutable, so sharing is safe).  Receivers mapped to the *same*
-        # drop-set object (shared-set aliasing, e.g. SilenceLoss) have
-        # their surviving multiset computed once and reused, with
-        # self-delivery restored per receiver.  Normalized mappings
-        # (``ResolvedRoundLosses``: drop sets already exclude the
-        # receiver and contain only senders) skip per-element filtering
-        # entirely — ``len(lost)`` is the loss count — and any breach of
-        # that promise (a receiver dropping its own message, a non-sender
-        # in a drop set) raises ModelViolation.  The fast path skips
-        # multiset construction for processes that will not transition —
-        # the detector only ever needs the counts (Definition 6).
-        lost_map = env.loss.losses_for_round(r, senders, indices)
-        np_mod = self._np
-        lm_type = type(lost_map)
-        normalized = (
-            lm_type is ResolvedRoundLosses or lm_type is ArrayRoundLosses
+        # ``losses_for_round`` call resolves the whole round as per-
+        # receiver drop counts (a third-party mapping is normalised once
+        # by ``as_round_losses``); self-delivery is unconditional, so
+        # every count must leave a broadcaster its own message.  The
+        # round's full broadcast multiset is built once and loss-free
+        # receivers share it outright (Multiset is immutable).
+        lost_map = as_round_losses(
+            env.loss.losses_for_round(r, senders, indices), senders, indices
         )
-        counts: Dict[ProcessId, int] = {}
-        received: Dict[ProcessId, Multiset] = {}
+        np_mod = self._np
         total = len(senders)
-        full_round_ms = Multiset._from_counts_unchecked(base_counts, total)
-        single = len(base_counts) == 1
-        if single:
-            (only_message,) = base_counts
-        always_multiset = full or not inactive
-        counts_arr = None
-        received_list: Optional[list] = None
-        if (np_mod is not None and lm_type is ArrayRoundLosses
-                and not event_round):
-            # Array fast path (never on churn *event* rounds: a firing
-            # leave or join takes the scalar reference path below, which
-            # already treats ``ArrayRoundLosses`` as a normalized
-            # mapping, so the adversary's RNG stream — and the
-            # execution — stay byte-identical across the gate): the
-            # adversary delivered per-receiver drop
-            # counts as an int array, so receive counts are one
-            # vectorised subtraction and the drop *sets* are only
-            # materialised when distinct message payloads force
-            # per-receiver multiset decrements — and even then only for
-            # adversaries that provide no dropped-pair arrays.
-            # Validation stays whole-
-            # array too: every count must fit inside the receiver's
-            # droppable budget (the sender membership array realises the
-            # self-delivery exemption of constraint 5).
-            receivers_t = lost_map.receivers
-            if receivers_t is not indices and tuple(receivers_t) != indices:
-                missing = sorted(
-                    set(indices) - set(receivers_t), key=repr
-                )
-                raise ModelViolation(
-                    f"loss adversary omitted receiver "
-                    f"{missing[0] if missing else receivers_t!r} from its "
-                    "round resolution"
-                )
-            drop = lost_map.drop_counts
-            if total == len(indices):
-                # Everyone broadcast, so every budget is ``total - 1``
-                # and the sender-membership array is a constant — skip
-                # building it.
-                own = None
-                bad = (drop < 0) | (drop > total - 1)
-            else:
-                own = np_mod.zeros(len(indices), dtype=bool)
-                if senders:
-                    pid_pos = self._pid_pos
-                    own[[pid_pos[s] for s in senders]] = True
-                bad = (drop < 0) | (drop > (total - own))
-            if bad.any():
-                k = int(bad.argmax())
-                budget = total - (1 if own is None else int(own[k]))
-                raise ModelViolation(
-                    f"array loss resolution claims {int(drop[k])} drops "
-                    f"at {indices[k]}, outside its droppable budget of "
-                    f"{budget}"
-                )
-            counts_arr = total - drop
-            counts_list = counts_arr.tolist()
-            # Receive multisets live in a list aligned with the index
-            # tuple (the ``received`` dict is only materialised for FULL
-            # records).  Single-message rounds share one multiset per
-            # distinct keep count; the lossless bucket shares the
-            # round's full multiset outright.
-            if single or total == 0:
-                # The buckets persist across rounds (multisets are
-                # immutable, so sharing is safe execution-wide): in the
-                # steady state every keep count has been seen before and
-                # the round is one C-level map over the cache.
-                key = only_message if total else None
-                buckets = self._ms_buckets.get(key)
-                if buckets is None:
-                    buckets = self._ms_buckets[key] = {}
-                try:
-                    received_list = list(
-                        map(buckets.__getitem__, counts_list)
-                    )
-                except KeyError:
-                    buckets.update(Multiset.singleton_buckets(
-                        key, set(counts_list) - buckets.keys()
-                    ))
-                    buckets[total] = full_round_ms
-                    received_list = list(
-                        map(buckets.__getitem__, counts_list)
-                    )
-            else:
-                # Multi-message round.  With dropped (receiver, sender)
-                # position pairs available, interned message codes turn
-                # the whole round into one (receivers x codes)
-                # kept-count matrix — one bincount for the drops, one
-                # subtraction — and each *distinct* row builds exactly
-                # one multiset.  Sharing rows is exact because multiset
-                # equality is counts-based, insertion-order-free.
-                pairs = lost_map.drop_pairs()
-                if pairs is not None:
-                    interner = self._interner
-                    if interner is None:
-                        interner = self._interner = MessageInterner()
-                    codes = interner.codes(messages[s] for s in senders)
-                    width = len(interner.payloads)
-                    codes_arr = np_mod.asarray(codes, dtype=np_mod.int64)
-                    rows, cols = pairs
-                    drop2d = np_mod.bincount(
-                        rows * width + codes_arr[cols],
-                        minlength=len(indices) * width,
-                    ).reshape(len(indices), width)
-                    kept2d = np_mod.bincount(
-                        codes_arr, minlength=width
-                    ) - drop2d
-                    if not np_mod.array_equal(
-                        kept2d.sum(axis=1), counts_arr
-                    ):
-                        raise ModelViolation(
-                            "array loss resolution's drop pairs disagree "
-                            "with its drop counts"
-                        )
-                    payloads = interner.payloads
-                    rows_list = kept2d.tolist()
-                    row_cache: Dict[tuple, Multiset] = {}
-                    received_list = []
-                    for k, pid in enumerate(indices):
-                        if not always_multiset and pid in inactive:
-                            received_list.append(None)
-                            continue
-                        kept = counts_list[k]
-                        if kept == total:
-                            received_list.append(full_round_ms)
-                            continue
-                        row = rows_list[k]
-                        key = tuple(row)
-                        ms = row_cache.get(key)
-                        if ms is None:
-                            ms = row_cache[key] = Multiset.from_code_row(
-                                payloads, row, kept
-                            )
-                        received_list.append(ms)
-                else:
-                    # No pairs representation (a third-party
-                    # ArrayRoundLosses): decrement per receiver from the
-                    # materialised drop sets — still counts-gated, so
-                    # loss-free receivers share the round multiset.
-                    received_list = []
-                    for k, pid in enumerate(indices):
-                        if not always_multiset and pid in inactive:
-                            received_list.append(None)
-                            continue
-                        kept = counts_list[k]
-                        if kept == total:
-                            received_list.append(full_round_ms)
-                            continue
-                        cnt = dict(base_counts)
-                        for s in lost_map[pid]:
-                            m = messages[s]
-                            left = cnt[m] - 1
-                            if left:
-                                cnt[m] = left
-                            else:
-                                del cnt[m]
-                        received_list.append(
-                            Multiset._from_counts_unchecked(cnt, kept)
-                        )
-            if full:
-                received = dict(zip(indices, received_list))
-            counts = None  # type: ignore[assignment]
-            self.kernel_rounds += 1
-        if counts is not None:
-            self._resolve_losses_scalar(
-                lost_map, normalized, counts, received, base_counts,
-                senders, messages, inactive, total, full_round_ms,
-                single, only_message if single else None, always_multiset,
+        if np_mod is not None:
+            counts_arr = total - np_mod.asarray(
+                lost_map.drop_counts, dtype=np_mod.int64
             )
+            counts_list = counts_arr.tolist()
+        else:
+            counts_arr = None
+            counts_list = [total - d for d in lost_map.counts_list()]
+        self._check_budgets(counts_list, senders, messages, total)
+        full_round_ms = Multiset._from_counts_unchecked(base_counts, total)
+        if len(base_counts) <= 1:
+            # Single-message (or silent) round: one shared multiset per
+            # distinct keep count, never touching the drop sets.  The
+            # buckets persist across rounds (multisets are immutable, so
+            # sharing is safe execution-wide): in the steady state every
+            # keep count has been seen before and the round is one
+            # C-level map over the cache.
+            key = next(iter(base_counts), None)
+            buckets = self._ms_buckets.get(key)
+            if buckets is None:
+                buckets = self._ms_buckets[key] = {}
+            try:
+                received_list = list(map(buckets.__getitem__, counts_list))
+            except KeyError:
+                buckets.update(Multiset.singleton_buckets(
+                    key, set(counts_list) - buckets.keys()
+                ))
+                buckets[total] = full_round_ms
+                received_list = list(map(buckets.__getitem__, counts_list))
+        else:
+            # Multi-message round.  Only receivers that will transition
+            # need a multiset, unless FULL records retain them all.
+            skip = None if full else inactive
+            if np_mod is not None:
+                received_list = self._code_row_multisets(
+                    lost_map, counts_arr, counts_list, messages, senders,
+                    total, full_round_ms, skip,
+                )
+            else:
+                received_list = self._decrement_multisets(
+                    lost_map, counts_list, messages, senders, base_counts,
+                    total, full_round_ms, skip,
+                )
+        received = dict(zip(indices, received_list)) if full else {}
 
         # (5) Collision-detector advice from counts only.  Kernel rounds
         # hand the detector the counts *array* through the
         # ``advise_array`` hook (whose default round-trips through dict
-        # ``advise``, so third-party detectors keep working); rounds
-        # that resolved through the scalar loop keep the dict path — its
-        # per-distinct-t memoisation already beats an array detour for
-        # the shared-drop-set adversaries that take it.  The defensive
-        # copy is only needed when the map outlives the round (FULL
-        # retains it in the record).
+        # ``advise``, so third-party detectors keep working); the
+        # reference path calls ``advise`` with the counts dict.  The
+        # defensive copy is only needed when the map outlives the round
+        # (FULL retains it in the record).
         if counts_arr is not None:
             advice_list = env.detector.advise_array(
                 r, total, counts_arr, indices
             )
             cd_advice = dict(zip(indices, advice_list)) if full else None
+            self.kernel_rounds += 1
         else:
-            advice_list = None
-            cd_advice = env.detector.advise(r, total, counts)
+            cd_advice = env.detector.advise(
+                r, total, dict(zip(indices, counts_list))
+            )
             if full:
                 cd_advice = dict(cd_advice)
             if not self._indices_set <= cd_advice.keys():
@@ -595,84 +450,61 @@ class ExecutionEngine:
                 raise ModelViolation(
                     f"collision detector omitted advice for {sorted(missing)}"
                 )
+            advice_list = list(map(cd_advice.__getitem__, indices))
 
         # (6) Transitions for surviving processes.  Halted-but-live
         # processes only advance their round counter; ``inactive`` holds
         # exactly the halted and the (newly or previously) crashed.
+        # Advice and multisets live in lists aligned with the index
+        # tuple.  On kernel rounds where every active process shares
+        # one trusted class, the whole round is one ``transition_array``
+        # call; otherwise the per-pid loop is the byte-identical
+        # reference.
         decided_during: Dict[ProcessId, Value] = {}
         for pid in halted_live:
             processes[pid]._advance_round()
-        if advice_list is not None:
-            # Kernel rounds only: advice and multisets live in lists
-            # aligned with the index tuple, so transitions never pay
-            # per-pid dict lookups (``received_list`` is always set on
-            # the path that set ``advice_list``).  When every active
-            # process shares one trusted class, the whole round is one
-            # ``transition_array`` call; otherwise the per-pid loop is
-            # the byte-identical fallback.
-            procs_list = self._procs_list
-            if procs_list is None:
-                procs_list = self._refresh_batch_cache()
+        batch_cls = None
+        if np_mod is not None:
+            if self._procs_list is None:
+                self._refresh_batch_cache()
             batch_cls = self._batch_cls
-            if batch_cls is not None:
-                if inactive:
-                    ks = [
-                        k for k, pid in enumerate(indices)
-                        if pid not in inactive
-                    ]
-                    newly = batch_cls.transition_array(
-                        [procs_list[k] for k in ks],
-                        [received_list[k] for k in ks],
-                        [advice_list[k] for k in ks],
-                        [cm_advice[indices[k]] for k in ks],
-                    )
-                    if newly:
-                        for i in newly:
-                            pid = indices[ks[i]]
-                            decided_during[pid] = processes[pid]._decision
-                else:
-                    if self._cm_list_key is cm_advice:
-                        cm_list = self._cm_list
-                    else:
-                        cm_list = list(
-                            map(cm_advice.__getitem__, indices)
-                        )
-                        self._cm_list_key = cm_advice
-                        self._cm_list = cm_list
-                    newly = batch_cls.transition_array(
-                        procs_list, received_list, advice_list, cm_list,
-                    )
-                    if newly:
-                        for i in newly:
-                            pid = indices[i]
-                            decided_during[pid] = processes[pid]._decision
+        if batch_cls is not None:
+            procs_list = self._procs_list
+            if inactive:
+                ks = [
+                    k for k, pid in enumerate(indices)
+                    if pid not in inactive
+                ]
+                newly = batch_cls.transition_array(
+                    [procs_list[k] for k in ks],
+                    [received_list[k] for k in ks],
+                    [advice_list[k] for k in ks],
+                    [cm_advice[indices[k]] for k in ks],
+                )
+                newly = [ks[i] for i in newly or ()]
             else:
-                for k, pid in enumerate(indices):
-                    if inactive and pid in inactive:
-                        continue
-                    proc = processes[pid]
-                    already_decided = proc._decision is not _UNDECIDED
-                    proc.transition(
-                        received_list[k], advice_list[k], cm_advice[pid]
-                    )
-                    proc._advance_round()
-                    if (not already_decided
-                            and proc._decision is not _UNDECIDED):
-                        decided_during[pid] = proc._decision
+                newly = batch_cls.transition_array(
+                    procs_list, received_list, advice_list,
+                    list(map(cm_advice.__getitem__, indices)),
+                )
+            for k in newly or ():
+                pid = indices[k]
+                decided_during[pid] = processes[pid]._decision
         else:
-            active_pids = (
-                indices if not inactive
-                else [pid for pid in indices if pid not in inactive]
-            )
-            for pid in active_pids:
+            for k, pid in enumerate(indices):
+                if inactive and pid in inactive:
+                    continue
                 proc = processes[pid]
                 # Direct slot reads instead of the has_decided/decision
                 # properties: this loop runs once per live process per
                 # round.
                 already_decided = proc._decision is not _UNDECIDED
-                proc.transition(received[pid], cd_advice[pid], cm_advice[pid])
+                proc.transition(
+                    received_list[k], advice_list[k], cm_advice[pid]
+                )
                 proc._advance_round()
-                if not already_decided and proc._decision is not _UNDECIDED:
+                if (not already_decided
+                        and proc._decision is not _UNDECIDED):
                     decided_during[pid] = proc._decision
 
         # Commit crashes and refresh the cached live list/set.
@@ -822,165 +654,122 @@ class ExecutionEngine:
             ]
         return leave_after, leave_before, True
 
-    def _resolve_losses_scalar(
+    def _check_budgets(
         self,
-        lost_map,
-        normalized: bool,
-        counts: Dict[ProcessId, int],
-        received: Dict[ProcessId, Multiset],
-        base_counts: Dict[Message, int],
+        counts_list: List[int],
         senders: List[ProcessId],
         messages: Dict[ProcessId, Optional[Message]],
-        inactive: set,
         total: int,
-        full_round_ms: Multiset,
-        single: bool,
-        only_message: Optional[Message],
-        always_multiset: bool,
     ) -> None:
-        """The reference per-receiver loss resolution (pure-python path).
+        """Raise unless every receiver keeps between its own message (if
+        it broadcast) and all ``total`` of them.
 
-        Fills ``counts`` and ``received`` in index order; byte-for-byte
-        the behaviour the array kernel must reproduce.
+        Two C-level scans when every receiver keeps something, plus one
+        pass over the senders when some receiver keeps nothing.
         """
-        indices = self.environment.indices
-        sender_set = set(senders)
-        # Per-round memo tables for shared work.  ``shared_cache`` maps
-        # id(drop set) -> (set, kept, counts-dict, lazily built multiset)
-        # computed *without* any self exemption; ``plus_cache`` and
-        # ``single_cache`` memoise the small per-receiver adjustments
-        # (restoring one own message / one kept-count bucket).  Keying by
-        # id() is safe because ``lost_map`` keeps every set alive for the
-        # duration of the loop.
-        shared_cache: Dict[int, list] = {}
-        plus_cache: Dict[Tuple[int, Message], Multiset] = {}
-        single_cache: Dict[int, Multiset] = {}
-        for pid in indices:
-            lost = lost_map.get(pid)
-            if lost is None:
+        if not counts_list:
+            return
+        lo = min(counts_list)
+        pid_pos = self._pid_pos
+        if max(counts_list) <= total and (lo > 0 or lo == 0 and all(
+            counts_list[pid_pos[s]] for s in senders
+        )):
+            return
+        for pid, kept in zip(self.environment.indices, counts_list):
+            own = 0 if messages[pid] is None else 1
+            if not own <= kept <= total:
                 raise ModelViolation(
-                    f"loss adversary omitted receiver {pid} from its "
-                    "round resolution"
+                    f"loss resolution claims {total - kept} drops at "
+                    f"{pid}, outside its droppable budget of {total - own}"
                 )
-            needs_multiset = always_multiset or pid not in inactive
-            if not lost:
-                counts[pid] = total
-                if needs_multiset:
-                    received[pid] = full_round_ms
+
+    def _code_row_multisets(
+        self, lost_map, counts_arr, counts_list, messages, senders, total,
+        full_round_ms, skip,
+    ) -> list:
+        """Multi-message receive multisets on the kernel.
+
+        Interned message codes turn the adversary's dropped (receiver,
+        sender) position pairs into one (receivers x codes) kept-count
+        matrix — one bincount for the drops, one subtraction — and each
+        *distinct* row builds exactly one multiset.  Sharing rows is
+        exact because multiset equality is counts-based.
+        """
+        np_mod = self._np
+        indices = self.environment.indices
+        interner = self._interner
+        if interner is None:
+            interner = self._interner = MessageInterner()
+        codes = interner.codes(messages[s] for s in senders)
+        width = len(interner.payloads)
+        codes_arr = np_mod.asarray(codes, dtype=np_mod.int64)
+        rows, cols = lost_map.drop_pairs()
+        rows = np_mod.asarray(rows, dtype=np_mod.intp)
+        cols = np_mod.asarray(cols, dtype=np_mod.intp)
+        drop2d = np_mod.bincount(
+            rows * width + codes_arr[cols],
+            minlength=len(indices) * width,
+        ).reshape(len(indices), width)
+        kept2d = np_mod.bincount(codes_arr, minlength=width) - drop2d
+        if not np_mod.array_equal(kept2d.sum(axis=1), counts_arr):
+            raise ModelViolation(
+                "loss resolution's drop pairs disagree with its drop counts"
+            )
+        payloads = interner.payloads
+        rows_list = kept2d.tolist()
+        row_cache: Dict[tuple, Multiset] = {}
+        received_list: list = []
+        for k, pid in enumerate(indices):
+            if skip and pid in skip:
+                received_list.append(None)
                 continue
-            if normalized:
-                # Trusted shape: lost is a subset of senders excluding
-                # pid.  Both halves of the promise are enforced before
-                # any count is derived from len(lost), so a breach is
-                # loud in every branch (single- or multi-message,
-                # multiset needed or not).
-                if pid in lost:
-                    raise ModelViolation(
-                        f"batched loss adversary dropped {pid}'s own "
-                        f"message at itself (self-delivery is "
-                        "unconditional)"
-                        if messages[pid] is not None
-                        else f"batched loss adversary listed non-sender "
-                        f"{pid} in its own drop set"
-                    )
-                if not lost <= sender_set:
-                    raise ModelViolation(
-                        f"normalized drop set for {pid} contains "
-                        f"non-senders {sorted(set(lost) - sender_set, key=repr)}"
-                    )
-                kept = total - len(lost)
-                counts[pid] = kept
-                if not needs_multiset:
-                    continue
-                if single:
-                    ms = single_cache.get(kept)
-                    if ms is None:
-                        ms = Multiset._from_counts_unchecked(
-                            {only_message: kept} if kept else {}, kept
-                        )
-                        single_cache[kept] = ms
-                    received[pid] = ms
-                    continue
-                cnt = dict(base_counts)
-                for s in lost:
-                    m = messages[s]
-                    left = cnt[m] - 1
-                    if left:
-                        cnt[m] = left
-                    else:
-                        del cnt[m]
-                received[pid] = Multiset._from_counts_unchecked(cnt, kept)
+            kept = counts_list[k]
+            if kept == total:
+                received_list.append(full_round_ms)
                 continue
-            # Untrusted mapping: resolve via the shared-set cache.  The
-            # cached entry drops *every* sender in the set (no self
-            # exemption), so it is receiver-independent and reusable
-            # across aliases; each receiver then restores its own
-            # message if needed.
-            if type(lost) is not set and not isinstance(lost, frozenset):
-                lost = set(lost)
-            key = id(lost)
-            entry = shared_cache.get(key)
-            if entry is None:
-                if single:
-                    kept_excl = total
-                    for s in lost:
-                        if s in sender_set:
-                            kept_excl -= 1
-                    entry = [lost, kept_excl, None, None]
+            row = rows_list[k]
+            key = tuple(row)
+            ms = row_cache.get(key)
+            if ms is None:
+                ms = row_cache[key] = Multiset.from_code_row(
+                    payloads, row, kept
+                )
+            received_list.append(ms)
+        return received_list
+
+    def _decrement_multisets(
+        self, lost_map, counts_list, messages, senders, base_counts, total,
+        full_round_ms, skip,
+    ) -> list:
+        """Multi-message receive multisets on the reference path: each
+        lossy receiver decrements the round's counts by its drop set."""
+        sender_set = frozenset(senders)
+        received_list: list = []
+        for k, pid in enumerate(self.environment.indices):
+            if skip and pid in skip:
+                received_list.append(None)
+                continue
+            kept = counts_list[k]
+            if kept == total:
+                received_list.append(full_round_ms)
+                continue
+            lost = lost_map[pid]
+            if (len(lost) != total - kept or pid in lost
+                    or not sender_set.issuperset(lost)):
+                raise ModelViolation(
+                    f"drop set {sorted(lost, key=repr)} at {pid} is not "
+                    f"{total - kept} of the other senders"
+                )
+            cnt = dict(base_counts)
+            for s in lost:
+                m = messages[s]
+                left = cnt[m] - 1
+                if left:
+                    cnt[m] = left
                 else:
-                    cnt_excl = dict(base_counts)
-                    kept_excl = total
-                    for s in lost:
-                        if s not in sender_set:
-                            continue
-                        m = messages[s]
-                        left = cnt_excl[m] - 1
-                        if left:
-                            cnt_excl[m] = left
-                        else:
-                            del cnt_excl[m]
-                        kept_excl -= 1
-                    entry = [lost, kept_excl, cnt_excl, None]
-                shared_cache[key] = entry
-            kept_excl = entry[1]
-            own = messages[pid]
-            if own is not None and pid in entry[0]:
-                # This receiver broadcast and the (shared) drop set names
-                # it: self-delivery is unconditional, so add its own
-                # message back.
-                kept = kept_excl + 1
-                counts[pid] = kept
-                if needs_multiset:
-                    pkey = (key, own)
-                    ms = plus_cache.get(pkey)
-                    if ms is None:
-                        if single:
-                            ms = Multiset._from_counts_unchecked(
-                                {only_message: kept}, kept
-                            )
-                        else:
-                            cnt = dict(entry[2])
-                            cnt[own] = cnt.get(own, 0) + 1
-                            ms = Multiset._from_counts_unchecked(cnt, kept)
-                        plus_cache[pkey] = ms
-                    received[pid] = ms
-            else:
-                counts[pid] = kept_excl
-                if needs_multiset:
-                    ms = entry[3]
-                    if ms is None:
-                        if single:
-                            ms = Multiset._from_counts_unchecked(
-                                {only_message: kept_excl}
-                                if kept_excl else {},
-                                kept_excl,
-                            )
-                        else:
-                            ms = Multiset._from_counts_unchecked(
-                                entry[2], kept_excl
-                            )
-                        entry[3] = ms
-                    received[pid] = ms
+                    del cnt[m]
+            received_list.append(Multiset._from_counts_unchecked(cnt, kept))
+        return received_list
 
     # ------------------------------------------------------------------
     def run(

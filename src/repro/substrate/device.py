@@ -22,11 +22,7 @@ import dataclasses
 from typing import AbstractSet, Dict, Mapping, Optional, Sequence
 
 from ..adversary.crash import CrashAdversary, NoCrashes
-from ..adversary.loss import (
-    ArrayRoundLosses,
-    LossAdversary,
-    ResolvedRoundLosses,
-)
+from ..adversary.loss import ArrayRoundLosses, LossAdversary
 from ..contention.backoff import BackoffContentionManager
 from ..core.algorithm import ConsensusAlgorithm
 from ..core.arrays import numpy_or_none
@@ -82,45 +78,37 @@ class PhysicalLayer(LossAdversary, CollisionDetector):
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
+    ) -> ArrayRoundLosses:
         # One radio arbitration per round (already memoised for the
         # detector's benefit); the per-receiver drop sets fall out of the
-        # cached outcomes without re-scanning state per call.  Each set is
-        # a subset of senders minus the receiver, so the mapping is
-        # normalized.  With numpy present the round resolves as an
-        # :class:`ArrayRoundLosses` — counts and dropped pairs derived
-        # from the already-arbitrated outcomes (no randomness consumed),
-        # sets only on demand — so testbed rounds ride the engine's
-        # array kernel; the pure-python branch below stays the
-        # byte-identical reference.
+        # cached outcomes, each a subset of the senders minus the
+        # receiver.  With numpy present the drop counts and dropped
+        # pairs are read off the same outcomes as arrays
+        # (no randomness consumed), and the sets only on demand.
         outcomes = self._outcomes(round_index, senders)
-        if _np is not None:
-            receivers_t = (
-                receivers if type(receivers) is tuple else tuple(receivers)
-            )
-            drop_counts, pairs = outcome_drop_arrays(
-                _np, outcomes, senders, receivers_t
-            )
+        receivers_t = (
+            receivers if type(receivers) is tuple else tuple(receivers)
+        )
 
-            def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
-                out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-                for pid in receivers_t:
-                    decoded = set(outcomes[pid].decoded)
-                    out[pid] = {
-                        s for s in senders if s != pid and s not in decoded
-                    }
-                return out
+        def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
+            out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
+            for pid in receivers_t:
+                decoded = set(outcomes[pid].decoded)
+                out[pid] = {
+                    s for s in senders if s != pid and s not in decoded
+                }
+            return out
 
-            return ArrayRoundLosses(
-                receivers_t, drop_counts, materialise, pairs=pairs
+        if _np is None:
+            return ArrayRoundLosses.from_sets(
+                receivers_t, senders, materialise()
             )
-        out = ResolvedRoundLosses()
-        for pid in receivers:
-            decoded = set(outcomes[pid].decoded)
-            out[pid] = {
-                s for s in senders if s != pid and s not in decoded
-            }
-        return out
+        drop_counts, pairs = outcome_drop_arrays(
+            _np, outcomes, senders, receivers_t
+        )
+        return ArrayRoundLosses(
+            receivers_t, senders, drop_counts, materialise, pairs=pairs
+        )
 
     # -- CollisionDetector interface --------------------------------------
     def advise(

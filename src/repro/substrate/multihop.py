@@ -30,7 +30,7 @@ from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set
 
 import networkx as nx
 
-from ..adversary.loss import ArrayRoundLosses, LossAdversary
+from ..adversary.loss import ArrayRoundLosses, LossAdversary, as_round_losses
 from ..core.arrays import numpy_or_none
 from ..core.errors import ConfigurationError
 from ..core.types import CollisionAdvice, ProcessId
@@ -149,7 +149,7 @@ class MultihopNetwork:
 
 def _group_sets(
     groups: Dict[tuple, List[ProcessId]],
-    inner_maps: Dict[tuple, Mapping],
+    inner_maps: Dict[tuple, ArrayRoundLosses],
     senders_fs: frozenset,
 ) -> Dict[ProcessId, AbstractSet[ProcessId]]:
     """Drop sets of one round: each group's cross set plus its inner drops."""
@@ -158,13 +158,8 @@ def _group_sets(
         cross = senders_fs - frozenset(local)
         inner_map = inner_maps.get(local)
         for pid in members:
-            inner_lost = inner_map[pid] if inner_map else None
-            if inner_lost:
-                lost: AbstractSet[ProcessId] = set(cross)
-                lost.update(s for s in inner_lost if s != pid)
-            else:
-                lost = cross
-            out[pid] = lost
+            inner_lost = inner_map[pid] if inner_map is not None else None
+            out[pid] = cross | inner_lost if inner_lost else cross
     return out
 
 
@@ -202,7 +197,7 @@ class MultihopLayer(LossAdversary, CollisionDetector):
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ):
+    ) -> ArrayRoundLosses:
         """Whole-round resolution: one inner delegation per neighbourhood.
 
         Receivers whose closed neighbourhoods see the *same* local sender
@@ -213,12 +208,11 @@ class MultihopLayer(LossAdversary, CollisionDetector):
         per-receiver work to a handful of group-level resolutions per
         round.
 
-        With numpy present the round resolves as an
-        :class:`ArrayRoundLosses`: per-receiver drop counts come from the
-        group sizes (``|cross|`` plus the inner adversary's own batched
-        counts), the drop sets and dropped pairs only on demand.  Inner
-        drop sets must stay within the local sender list (minus the
-        receiver); normalized inner mappings guarantee that already.
+        Per-receiver drop counts come from the group sizes (``|cross|``
+        plus the inner adversary's own drop counts), so an inner
+        ``IIDLoss`` contributes counts without ever materialising a
+        python set; the drop sets and dropped pairs resolve only on
+        demand.
         """
         self._senders_by_round[round_index] = list(senders)
         network = self.network
@@ -228,88 +222,31 @@ class MultihopLayer(LossAdversary, CollisionDetector):
             local = tuple(s for s in senders if s in neighborhood)
             groups.setdefault(local, []).append(pid)
         inner = self.inner
-        inner_maps: Dict[tuple, Mapping] = {}
+        inner_maps: Dict[tuple, ArrayRoundLosses] = {}
         if inner is not None:
             for local, members in groups.items():
-                inner_maps[local] = inner.losses_for_round(
-                    round_index, list(local), members
+                inner_maps[local] = as_round_losses(
+                    inner.losses_for_round(round_index, list(local), members),
+                    local, members,
                 )
-        senders_fs = frozenset(senders)
-        if _np is not None:
-            return self._losses_round_array(
-                senders, receivers, groups, inner_maps, senders_fs
-            )
-        return _group_sets(groups, inner_maps, senders_fs)
-
-    def _losses_round_array(
-        self,
-        senders: Sequence[ProcessId],
-        receivers: Sequence[ProcessId],
-        groups: Dict[tuple, List[ProcessId]],
-        inner_maps: Dict[tuple, Mapping],
-        senders_fs: frozenset,
-    ) -> ArrayRoundLosses:
-        """Array representation of one resolved round (numpy present).
-
-        Counts are assembled per group: the receiver-independent
-        ``|cross|`` plus the inner adversary's drop count — read straight
-        off the inner :class:`ArrayRoundLosses` when it produced one, so
-        an inner ``IIDLoss`` contributes counts without ever
-        materialising a python set.  Sets and dropped pairs resolve
-        lazily, sharing one memo.
-        """
         receivers_t = (
             receivers if type(receivers) is tuple else tuple(receivers)
         )
         rpos = {pid: k for k, pid in enumerate(receivers_t)}
-        n_senders = len(senders)
-        drop_counts = _np.zeros(len(receivers_t), dtype=_np.int64)
+        drop_counts = [0] * len(receivers_t)
         for local, members in groups.items():
-            cross_count = n_senders - len(local)
+            cross_count = len(senders) - len(local)
             inner_map = inner_maps.get(local)
-            if inner_map is None:
-                for pid in members:
-                    drop_counts[rpos[pid]] = cross_count
-            elif (type(inner_map) is ArrayRoundLosses
-                    and list(inner_map.receivers) == members):
-                inner_counts = inner_map.drop_counts.tolist()
-                for i, pid in enumerate(members):
-                    drop_counts[rpos[pid]] = cross_count + inner_counts[i]
-            else:
-                for pid in members:
-                    inner_lost = inner_map[pid] if inner_map else None
-                    extra = (
-                        sum(1 for s in inner_lost if s != pid)
-                        if inner_lost else 0
-                    )
-                    drop_counts[rpos[pid]] = cross_count + extra
-        spos = {s: j for j, s in enumerate(senders)}
-        sets_cell: List[Dict[ProcessId, AbstractSet[ProcessId]]] = []
-
-        def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
-            # Shared by the mapping interface and ``pairs`` below —
-            # whichever view resolves first builds the sets exactly once.
-            if not sets_cell:
-                sets_cell.append(
-                    _group_sets(groups, inner_maps, senders_fs)
-                )
-            return sets_cell[0]
-
-        def pairs():
-            sets = materialise()
-            rows: List[int] = []
-            cols: List[int] = []
-            for k, pid in enumerate(receivers_t):
-                for s in sets[pid]:
-                    rows.append(k)
-                    cols.append(spos[s])
-            return (
-                _np.asarray(rows, dtype=_np.intp),
-                _np.asarray(cols, dtype=_np.intp),
+            extras = (
+                [0] * len(members) if inner_map is None
+                else inner_map.counts_list()
             )
-
+            for pid, extra in zip(members, extras):
+                drop_counts[rpos[pid]] = cross_count + extra
+        senders_fs = frozenset(senders)
         return ArrayRoundLosses(
-            receivers_t, drop_counts, materialise, pairs=pairs
+            receivers_t, senders, drop_counts,
+            lambda: _group_sets(groups, inner_maps, senders_fs),
         )
 
     # -- CollisionDetector ----------------------------------------------------

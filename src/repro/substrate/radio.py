@@ -90,8 +90,9 @@ def outcome_drop_arrays(np_mod, outcomes, senders, receivers):
     tuples — every frame starts dropped, then each receiver's own column
     (self-delivery is the engine's job) and its decoded frames are
     cleared — and reduces it to the per-receiver drop counts plus a lazy
-    dropped-pair producer, the exact ingredients of
-    :class:`~repro.adversary.loss.ArrayRoundLosses`.  Consumes no
+    dropped-pair producer: the counts and pairs of the round's
+    :class:`~repro.adversary.loss.ArrayRoundLosses` on the numpy
+    backend, whose drop sets stay lazy.  Consumes no
     randomness: the channel arbitration already happened when
     ``outcomes`` was resolved, so every view over it is free.
     """

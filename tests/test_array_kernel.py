@@ -5,9 +5,9 @@ must be observationally invisible.  Covered here:
 
 * byte-identical vectorised-vs-fallback executions for every built-in
   detector class (the full Figure 1 lattice plus the phased detectors)
-  x {reliable, iid, capture, partition} x {FULL, SUMMARY, NONE},
-  including runs with crashes, halting, decisions, and a seeded-RNG
-  detector policy (whose stream order the array path must preserve);
+  x every built-in loss adversary x {FULL, SUMMARY, NONE}, including
+  runs with crashes, halting, decisions, and a seeded-RNG detector
+  policy (whose stream order the array path must preserve);
 * a third-party detector without ``advise_array`` rides the dict
   fallback under the kernel and sees the exact same calls either way;
 * a subclass overriding ``advise`` on a built-in detector is never
@@ -18,11 +18,12 @@ must be observationally invisible.  Covered here:
   ``free_choice`` for every built-in policy;
 * :class:`ArrayRoundLosses` keeps its counts and its lazily
   materialised sets consistent, behaves as a Mapping, and the engine
-  rejects array resolutions that breach the drop-count budget;
+  rejects round resolutions that breach the drop-count budget;
 * ``CaptureEffectLoss``'s numpy leg is deterministic per
   ``(seed, round)`` and samples the documented capture law;
 * ``use_array_kernel=True`` without numpy fails loudly instead of
-  silently running the slow path;
+  silently running the slow path, and ``use_array_kernel=None`` picks
+  the path from the number of receivers;
 * the paper's real algorithms (Algorithms 1-3 and anonymous counting)
   run byte-identically kernel-on vs kernel-off under {reliable, iid,
   capture} x every record policy — their proposal rounds carry several
@@ -34,9 +35,12 @@ must be observationally invisible.  Covered here:
   ``MultihopLayer.advise_array`` == dict ``advise`` elementwise for
   every completeness level (overflow validation included).
 
-On the no-numpy CI leg the kernel-on and kernel-off runs collapse onto
-the same reference path, so the equivalence assertions hold trivially
-there and substantively on the numpy leg — both backends run this file.
+The kernel-on side forces the kernel (``use_array_kernel=True``) and
+asserts that every round took it: at N = 6 the automatic size gate
+would run both sides on the reference path.  On the no-numpy CI leg
+the kernel-on and kernel-off runs collapse onto the same reference
+path, so the equivalence assertions hold trivially there and
+substantively on the numpy leg — both backends run this file.
 """
 
 import pytest
@@ -44,13 +48,17 @@ import pytest
 import repro.core.execution as execution_mod
 from repro.adversary.crash import NoCrashes, ScheduledCrashes
 from repro.adversary.loss import (
+    AlphaLoss,
     ArrayRoundLosses,
     CaptureEffectLoss,
+    ComposedLoss,
+    EventualCollisionFreedom,
     IIDLoss,
     LossAdversary,
     PartitionLoss,
     ReliableDelivery,
-    ResolvedRoundLosses,
+    ScriptedLoss,
+    SilenceLoss,
 )
 from repro.algorithms.alg1 import algorithm_1
 from repro.algorithms.alg2 import algorithm_2
@@ -64,7 +72,7 @@ from repro.contention.services import (
 from repro.core.algorithm import Algorithm
 from repro.core.environment import Environment, array_kernel_module
 from repro.core.errors import ConfigurationError, ModelViolation
-from repro.core.execution import ExecutionEngine, run_algorithm
+from repro.core.execution import ExecutionEngine
 from repro.core.multiset import Multiset
 from repro.core.process import ScriptedProcess
 from repro.core.records import RecordPolicy
@@ -92,6 +100,10 @@ _np = array_kernel_module()
 needs_numpy = pytest.mark.skipif(
     _np is None, reason="array kernel requires numpy"
 )
+
+#: The kernel-on side: forced where numpy is present, so small-N runs
+#: cannot fall back to the reference path through the size gate.
+KERNEL_ON = True if _np is not None else None
 
 N = 6
 ROUNDS = 14
@@ -169,9 +181,32 @@ LOSSES = {
     "iid": lambda: IIDLoss(0.35, seed=5),
     "capture": lambda: CaptureEffectLoss(capture_limit=1, seed=2),
     "partition": lambda: PartitionLoss([(0, 1, 2), (3, 4, 5)]),
+    "silence": lambda: SilenceLoss(),
+    "alpha": lambda: AlphaLoss(),
+    "scripted_fn": lambda: ScriptedLoss(
+        lambda r, senders, pid: {s for s in senders if (s + r + pid) % 3}
+    ),
+    "scripted_round_fn": lambda: ScriptedLoss(
+        round_fn=lambda r, senders, receivers: {
+            pid: list(senders[: (r + pid) % 4]) for pid in receivers
+        }
+    ),
+    "composed": lambda: ComposedLoss([
+        PartitionLoss([(0, 1, 2), (3, 4, 5)], until_round=6),
+        IIDLoss(0.2, seed=3),
+    ]),
+    "ecf": lambda: EventualCollisionFreedom(SilenceLoss(), r_cf=5),
 }
 
 POLICIES = (RecordPolicy.FULL, RecordPolicy.SUMMARY, RecordPolicy.NONE)
+
+
+def assert_path(engine, use_array_kernel):
+    """Kernel forced on: every round took it; forced off: none did."""
+    if use_array_kernel:
+        assert engine.kernel_rounds == engine.round > 0
+    elif use_array_kernel is False:
+        assert engine.kernel_rounds == 0
 
 
 def run_once(detector_factory, loss_factory, record_policy,
@@ -183,11 +218,14 @@ def run_once(detector_factory, loss_factory, record_policy,
         loss=loss_factory(),
         crash=crash() if crash else NoCrashes(),
     )
-    return run_algorithm(
-        env, algorithm or mixed_algorithm(), max_rounds=ROUNDS,
-        until_all_decided=False, record_policy=record_policy,
-        use_array_kernel=use_array_kernel,
+    env.reset()
+    engine = ExecutionEngine(
+        env, (algorithm or mixed_algorithm()).spawn_all(env.indices),
+        record_policy=record_policy, use_array_kernel=use_array_kernel,
     )
+    result = engine.run(ROUNDS, until_all_decided=False)
+    assert_path(engine, use_array_kernel)
+    return result
 
 
 def assert_identical(vec, ref, record_policy):
@@ -212,7 +250,9 @@ def test_kernel_and_fallback_executions_are_identical(
     detector_factory = detector_matrix()[detector_name]
     loss_factory = LOSSES[loss_name]
     for record_policy in POLICIES:
-        vec = run_once(detector_factory, loss_factory, record_policy, None)
+        vec = run_once(
+            detector_factory, loss_factory, record_policy, KERNEL_ON
+        )
         ref = run_once(detector_factory, loss_factory, record_policy, False)
         assert_identical(vec, ref, record_policy)
 
@@ -224,7 +264,8 @@ def test_kernel_equivalence_under_crashes(loss_name, record_policy):
         {3: [1], 5: [4]}, after_send=True
     )
     vec = run_once(
-        detector_matrix()["AC"], LOSSES[loss_name], record_policy, None,
+        detector_matrix()["AC"], LOSSES[loss_name], record_policy,
+        KERNEL_ON,
         crash=crash,
     )
     ref = run_once(
@@ -261,14 +302,14 @@ class RecordingThirdPartyDetector(CollisionDetector):
 @pytest.mark.parametrize("loss_name", sorted(LOSSES))
 def test_third_party_detector_rides_the_dict_fallback(loss_name):
     runs = {}
-    for kernel in (None, False):
+    for kernel in (KERNEL_ON, False):
         detector = RecordingThirdPartyDetector()
         runs[kernel] = (
             run_once(lambda: detector, LOSSES[loss_name],
                      RecordPolicy.FULL, kernel),
             detector.calls,
         )
-    vec, vec_calls = runs[None]
+    vec, vec_calls = runs[KERNEL_ON]
     ref, ref_calls = runs[False]
     assert_identical(vec, ref, RecordPolicy.FULL)
     # The fallback hook reconstructs the exact dict calls: same rounds,
@@ -289,7 +330,7 @@ def test_detector_subclass_override_is_not_bypassed():
 
     run_once(
         lambda: SpyDetector(Completeness.FULL, AccuracyMode.ALWAYS),
-        LOSSES["iid"], RecordPolicy.NONE, None,
+        LOSSES["iid"], RecordPolicy.NONE, KERNEL_ON,
     )
     assert seen == list(range(1, ROUNDS + 1))
 
@@ -310,7 +351,7 @@ def test_policy_free_choice_override_is_not_bypassed():
     factory = lambda: ParametricCollisionDetector(
         Completeness.ZERO, AccuracyMode.ALWAYS, policy=ContraryBenign()
     )
-    vec = run_once(factory, LOSSES["iid"], RecordPolicy.FULL, None)
+    vec = run_once(factory, LOSSES["iid"], RecordPolicy.FULL, KERNEL_ON)
     ref = run_once(factory, LOSSES["iid"], RecordPolicy.FULL, False)
     assert_identical(vec, ref, RecordPolicy.FULL)
 
@@ -413,7 +454,6 @@ def test_array_losses_mapping_interface():
     assert len(list(lost_map.items())) == 5
 
 
-@needs_numpy
 def test_engine_rejects_breaching_array_resolution():
     class BreachingArrayLoss(LossAdversary):
         def __init__(self, mode):
@@ -425,39 +465,40 @@ def test_engine_rejects_breaching_array_resolution():
         def losses_for_round(self, round_index, senders, receivers):
             receivers = tuple(receivers)
             if self.mode == "overdrop":
-                drops = _np.full(len(receivers), len(senders) + 1,
-                                 dtype=_np.int64)
+                drops = [len(senders) + 1] * len(receivers)
             elif self.mode == "negative":
-                drops = _np.full(len(receivers), -1, dtype=_np.int64)
+                drops = [-1] * len(receivers)
             else:  # omit a receiver
                 receivers = receivers[:-1]
-                drops = _np.zeros(len(receivers), dtype=_np.int64)
+                drops = [0] * len(receivers)
             return ArrayRoundLosses(
-                receivers, drops,
+                receivers, senders, drops,
                 lambda: {pid: frozenset() for pid in receivers},
             )
 
     for mode, match in (
         ("overdrop", "droppable budget"),
         ("negative", "droppable budget"),
-        ("omit", "omitted receiver"),
+        ("omit", "omitted receiver 3"),
     ):
-        env = Environment(
-            indices=tuple(range(4)),
-            detector=detector_matrix()["AC"](),
-            contention=NoContentionManager(),
-            loss=BreachingArrayLoss(mode),
-        )
-        env.reset()
-        engine = ExecutionEngine(
-            env,
-            Algorithm(
-                lambda i: ScriptedProcess(["a"]), anonymous=False
-            ).spawn_all(env.indices),
-            record_policy=RecordPolicy.NONE,
-        )
-        with pytest.raises(ModelViolation, match=match):
-            engine.step()
+        for use_array_kernel in (KERNEL_ON, False):
+            env = Environment(
+                indices=tuple(range(4)),
+                detector=detector_matrix()["AC"](),
+                contention=NoContentionManager(),
+                loss=BreachingArrayLoss(mode),
+            )
+            env.reset()
+            engine = ExecutionEngine(
+                env,
+                Algorithm(
+                    lambda i: ScriptedProcess(["a"]), anonymous=False
+                ).spawn_all(env.indices),
+                record_policy=RecordPolicy.NONE,
+                use_array_kernel=use_array_kernel,
+            )
+            with pytest.raises(ModelViolation, match=match):
+                engine.step()
 
 
 # ----------------------------------------------------------------------
@@ -582,7 +623,8 @@ def test_capture_pure_python_batched_path_unchanged(monkeypatch):
     adv = CaptureEffectLoss(capture_limit=2, seed=11)
     senders = [0, 1, 2, 3]
     batched = adv.losses_for_round(7, senders, [0, 1, 2, 3, 4])
-    assert isinstance(batched, ResolvedRoundLosses)
+    assert isinstance(batched, ArrayRoundLosses)
+    assert batched.drop_counts == [len(batched[pid]) for pid in range(5)]
     for pid in [0, 1, 2, 3, 4]:
         assert set(batched[pid]) == set(adv.losses(7, senders, pid))
 
@@ -616,6 +658,27 @@ def test_forcing_the_kernel_without_numpy_fails_loudly(monkeypatch):
         use_array_kernel=None,
     )
     assert engine._np is None
+
+
+@needs_numpy
+@pytest.mark.parametrize("n, kernel", [
+    (execution_mod.KERNEL_MIN_RECEIVERS - 1, False),
+    (execution_mod.KERNEL_MIN_RECEIVERS, True),
+])
+def test_auto_gate_picks_the_path_from_the_receiver_count(n, kernel):
+    env = Environment(
+        indices=tuple(range(n)),
+        detector=detector_matrix()["AC"](),
+        contention=NoContentionManager(),
+        loss=IIDLoss(0.3, seed=1),
+    )
+    env.reset()
+    engine = ExecutionEngine(
+        env, mixed_algorithm(n).spawn_all(env.indices),
+        record_policy=RecordPolicy.NONE, use_array_kernel=None,
+    )
+    engine.run(ROUNDS, until_all_decided=False)
+    assert engine.kernel_rounds == (ROUNDS if kernel else 0)
 
 
 def test_multiset_singleton_buckets():
@@ -672,22 +735,19 @@ def run_real_algorithm(alg_name, loss_name, record_policy,
         record_policy=record_policy, use_array_kernel=use_array_kernel,
     )
     result = engine.run(ROUNDS, until_all_decided=False)
-    return result, engine.kernel_rounds
+    assert_path(engine, use_array_kernel)
+    return result
 
 
 @pytest.mark.parametrize("alg_name", sorted(ALG_SUITE))
 @pytest.mark.parametrize("loss_name", ALG_LOSSES)
 def test_real_algorithm_kernel_identity(alg_name, loss_name):
-    expected_kernel = None
     for record_policy in POLICIES:
-        vec, vec_kernel = run_real_algorithm(
-            alg_name, loss_name, record_policy, None
+        vec = run_real_algorithm(
+            alg_name, loss_name, record_policy, KERNEL_ON
         )
-        ref, ref_kernel = run_real_algorithm(
-            alg_name, loss_name, record_policy, False
-        )
+        ref = run_real_algorithm(alg_name, loss_name, record_policy, False)
         assert_identical(vec, ref, record_policy)
-        assert ref_kernel == 0
         if record_policy is RecordPolicy.FULL:
             # Pre-stabilization everyone proposes its own estimate, so
             # the value-carrying algorithms genuinely produce
@@ -700,18 +760,6 @@ def test_real_algorithm_kernel_identity(alg_name, loss_name):
                     }) > 1
                     for rec in vec.records
                 )
-            # Seeded adversaries resolve every round with at least one
-            # broadcaster as arrays; silent rounds legitimately take the
-            # scalar path (there is nothing to vectorise).
-            if _np is not None and loss_name != "reliable":
-                expected_kernel = sum(
-                    1 for rec in vec.records if rec.broadcast_count > 0
-                )
-                assert vec_kernel == expected_kernel > 0
-        elif expected_kernel is not None:
-            # Same execution under every record policy — the kernel
-            # accounting must not depend on what is retained.
-            assert vec_kernel == expected_kernel
 
 
 @pytest.mark.parametrize("loss_name", ALG_LOSSES)
@@ -733,19 +781,13 @@ def test_counting_kernel_identity(loss_name):
             use_array_kernel=use_array_kernel,
         )
         result = engine.run(ROUNDS, until_all_decided=False)
-        return result, engine.kernel_rounds
+        assert_path(engine, use_array_kernel)
+        return result
 
     for record_policy in POLICIES:
-        vec, vec_kernel = run(record_policy, None)
-        ref, ref_kernel = run(record_policy, False)
+        vec = run(record_policy, KERNEL_ON)
+        ref = run(record_policy, False)
         assert_identical(vec, ref, record_policy)
-        assert ref_kernel == 0
-        if _np is not None and loss_name != "reliable":
-            assert vec_kernel > 0
-            if record_policy is RecordPolicy.SUMMARY:
-                assert vec_kernel == sum(
-                    1 for s in ref.summaries if s.broadcast_count > 0
-                )
 
 
 # ----------------------------------------------------------------------
@@ -773,19 +815,17 @@ def run_physical(record_policy, use_array_kernel, config=None, seed=3):
         record_policy=record_policy, use_array_kernel=use_array_kernel,
     )
     result = engine.run(ROUNDS, until_all_decided=False)
-    return result, engine.kernel_rounds
+    assert_path(engine, use_array_kernel)
+    return result
 
 
 @pytest.mark.parametrize("config_name", sorted(RADIO_CONFIGS))
 @pytest.mark.parametrize("record_policy", POLICIES)
 def test_physical_layer_kernel_identity(config_name, record_policy):
     config = RADIO_CONFIGS[config_name]
-    vec, vec_kernel = run_physical(record_policy, None, config=config())
-    ref, ref_kernel = run_physical(record_policy, False, config=config())
+    vec = run_physical(record_policy, KERNEL_ON, config=config())
+    ref = run_physical(record_policy, False, config=config())
     assert_identical(vec, ref, record_policy)
-    assert ref_kernel == 0
-    if _np is not None:
-        assert vec_kernel == vec.rounds
 
 
 @needs_numpy
@@ -840,7 +880,8 @@ def run_multihop(topology_name, inner_name, record_policy,
         record_policy=record_policy, use_array_kernel=use_array_kernel,
     )
     result = engine.run(ROUNDS, until_all_decided=False)
-    return result, engine.kernel_rounds
+    assert_path(engine, use_array_kernel)
+    return result
 
 
 @pytest.mark.parametrize("topology_name", sorted(MULTIHOP_TOPOLOGIES))
@@ -851,16 +892,13 @@ def test_multihop_layer_kernel_identity(topology_name, inner_name):
         accuracy=AccuracyMode.EVENTUAL, r_acc=4,
     )
     for record_policy in POLICIES:
-        vec, vec_kernel = run_multihop(
-            topology_name, inner_name, record_policy, None, **kwargs
+        vec = run_multihop(
+            topology_name, inner_name, record_policy, KERNEL_ON, **kwargs
         )
-        ref, ref_kernel = run_multihop(
+        ref = run_multihop(
             topology_name, inner_name, record_policy, False, **kwargs
         )
         assert_identical(vec, ref, record_policy)
-        assert ref_kernel == 0
-        if _np is not None:
-            assert vec_kernel == vec.rounds
 
 
 def test_multihop_seeded_policy_stream_identity():
@@ -870,11 +908,11 @@ def test_multihop_seeded_policy_stream_identity():
         completeness=Completeness.ZERO,
         accuracy=AccuracyMode.EVENTUAL, r_acc=6,
     )
-    vec, _ = run_multihop(
-        "grid", "iid", RecordPolicy.FULL, None,
+    vec = run_multihop(
+        "grid", "iid", RecordPolicy.FULL, KERNEL_ON,
         policy=SeededRandomPolicy(p_collision=0.4, seed=17), **kwargs
     )
-    ref, _ = run_multihop(
+    ref = run_multihop(
         "grid", "iid", RecordPolicy.FULL, False,
         policy=SeededRandomPolicy(p_collision=0.4, seed=17), **kwargs
     )

@@ -9,7 +9,7 @@ Covers the PR-level guarantees:
   per-pair marginal (on both the numpy and the pure-python evaluator);
 * ``CaptureEffectLoss`` is independent of receiver enumeration order;
 * ``ModelViolation`` still fires on self-delivery breaches (and other
-  normalized-contract breaches) through the batched path;
+  breaches of the round type's contract) through the batched path;
 * ``JsonlSink`` streams round summaries without retaining them;
 * the lower-bound searches accept ``SUMMARY`` results wherever they only
   consult broadcast-count sequences.
@@ -23,6 +23,7 @@ import repro.adversary.loss as loss_mod
 from repro.adversary.crash import NoCrashes, ScheduledCrashes
 from repro.adversary.loss import (
     AlphaLoss,
+    ArrayRoundLosses,
     CaptureEffectLoss,
     ComposedLoss,
     EventualCollisionFreedom,
@@ -30,7 +31,6 @@ from repro.adversary.loss import (
     LossAdversary,
     PartitionLoss,
     ReliableDelivery,
-    ResolvedRoundLosses,
     ScriptedLoss,
     SilenceLoss,
 )
@@ -250,11 +250,8 @@ def test_composed_component_omission_surfaces_as_model_violation():
 def test_iid_batched_never_drops_self():
     senders = list(range(30))
     lost_map = IIDLoss(0.9, seed=5).losses_for_round(1, senders, senders)
-    # Normalized either way: plain ResolvedRoundLosses on the pure
-    # backend, the array-backed sibling on the numpy leg.
-    assert isinstance(
-        lost_map, (ResolvedRoundLosses, loss_mod.ArrayRoundLosses)
-    )
+    # The counts-first round type on either backend.
+    assert isinstance(lost_map, ArrayRoundLosses)
     for pid in senders:
         assert pid not in lost_map[pid]
 
@@ -289,7 +286,7 @@ def test_capture_effect_batched_equals_per_receiver():
 # ModelViolation through the batched path
 # ----------------------------------------------------------------------
 class BreachingAdversary(LossAdversary):
-    """Claims normalization but breaks the promise on demand."""
+    """Builds the round type itself but breaks its contract on demand."""
 
     def __init__(self, breach):
         self.breach = breach  # "self" | "non_sender" | "omit"
@@ -298,9 +295,7 @@ class BreachingAdversary(LossAdversary):
         return frozenset()
 
     def losses_for_round(self, round_index, senders, receivers):
-        out = ResolvedRoundLosses()
-        for pid in receivers:
-            out[pid] = frozenset()
+        out = {pid: frozenset() for pid in receivers}
         if self.breach == "self":
             # Drop a broadcaster's own message at itself.
             out[senders[0]] = frozenset({senders[0]})
@@ -309,7 +304,7 @@ class BreachingAdversary(LossAdversary):
             out[receivers[0]] = frozenset(non_senders[:1])
         elif self.breach == "omit":
             del out[receivers[-1]]
-        return out
+        return ArrayRoundLosses.from_sets(tuple(out), senders, out)
 
 
 def breach_engine(breach, scripts):
@@ -334,6 +329,7 @@ def test_self_delivery_breach_raises_through_batched_path():
 
 
 def test_non_sender_in_normalized_drop_set_raises():
+    # The drop set names a non-sender while its count stays in budget.
     # Two distinct messages force the multi-message decrement path.
     engine = breach_engine("non_sender", {0: ["a"], 1: ["b"]})
     with pytest.raises(ModelViolation):

@@ -348,19 +348,20 @@ def test_same_seed_and_schedule_replay_byte_identical_executions():
     "policy", (RecordPolicy.FULL, RecordPolicy.SUMMARY, RecordPolicy.NONE)
 )
 def test_churned_executions_identical_kernel_on_and_off(policy):
-    vec = _consensus_under_churn(None, policy=policy)
+    vec = _consensus_under_churn(
+        True if array_kernel_module() else None, policy=policy
+    )
     ref = _consensus_under_churn(False, policy=policy)
     _identical(vec, ref, policy)
     assert vec.churned and ref.churned
 
 
 @needs_numpy
-def test_kernel_runs_on_churn_free_prefix_only():
-    """The fallback gate: only rounds with a pending membership event
-    (a leave or join firing) take the scalar reference path; rounds
-    where pids are merely absent after an earlier leave ride the
-    kernel — the loss adversary is consulted over the full index set
-    on both paths, so absence never shifts its randomness."""
+def test_kernel_runs_every_churned_round():
+    """Churn events never leave the kernel: draws are pure functions of
+    (seed, round, receiver, sender) and the loss adversary is consulted
+    over the full index set on both paths, so neither an event nor an
+    absence can shift the execution between them."""
 
     def engine_for(churn):
         env = Environment(
@@ -375,27 +376,25 @@ def test_kernel_runs_on_churn_free_prefix_only():
         return ExecutionEngine(
             env, algorithm.spawn_all(env.indices),
             record_policy=RecordPolicy.NONE,
-            process_factory=algorithm.spawn,
+            process_factory=algorithm.spawn, use_array_kernel=True,
         )
 
-    # Static membership: every round runs the kernel.
+    # Static membership.
     engine = engine_for(NoChurn())
     engine.run(8, until_all_decided=False)
     assert engine.kernel_rounds == 8
 
-    # A departure at round 4 (never rejoined): only the event round
-    # falls back — rounds with the pid absent still vectorise.
+    # A departure at round 4, never rejoined: the event round too.
     engine = engine_for(ScheduledChurn.at(leaves={4: [0]}))
     engine.run(8, until_all_decided=False)
-    assert engine.kernel_rounds == 7  # all but round 4
+    assert engine.kernel_rounds == 8
 
-    # Leave then rejoin: both event rounds fall back, the absent-pid
-    # round in between rides the kernel.
+    # Leave then rejoin: both event rounds and the absent round between.
     engine = engine_for(
         ScheduledChurn.at(leaves={3: [0]}, joins={5: [0]})
     )
     engine.run(8, until_all_decided=False)
-    assert engine.kernel_rounds == 2 + 1 + 3  # rounds 1-2, 4, and 6-8
+    assert engine.kernel_rounds == 8
 
 
 # ----------------------------------------------------------------------
